@@ -1,7 +1,7 @@
 """Command-line surface over the toolkit.
 
-Exit codes: 0 on success, 1 on usage or precondition errors, 2 when a
-bounded search ends indeterminate.  Outputs are byte-identical across runs
+Exit codes: 0 on success, 1 on usage or precondition errors and on
+malformed or unreadable input, 2 when a bounded search ends indeterminate.  Outputs are byte-identical across runs
 on the same inputs: JSON is emitted with sorted keys and no timestamps.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from . import corpus, graphio, reduction
-from .errors import GraphToolkitError, SearchExhaustedError
+from .errors import FormatError, GraphToolkitError, SearchExhaustedError
 from .exact import (
     SolveLimits,
     Status,
@@ -40,6 +40,17 @@ PIPELINES = {
 }
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _load_json(path: str):
+    return _parse_json(Path(path).read_text(), path)
+
+
 def _load_graph(spec: str) -> Multigraph:
     if spec.startswith("corpus:"):
         return corpus.named_graph(spec.split(":", 1)[1])
@@ -48,8 +59,19 @@ def _load_graph(spec: str) -> Multigraph:
     if path.suffix == ".g6" or text.lstrip().startswith(">>graph6<<"):
         return graphio.from_graph6(text)
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        return graphio.graph_from_json(json.loads(text))
+        return graphio.graph_from_json(_parse_json(text, spec))
     return graphio.from_edge_list(text)
+
+
+def _load_gadget(path: str) -> reduction.GadgetInstance:
+    obj = _load_json(path)
+    try:
+        formula = obj["formula"]
+        f = reduction.NaeFormula(
+            formula["numVars"], tuple(frozenset(c) for c in formula["clauses"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed gadget JSON: {exc!r}") from None
+    return reduction.build_gadget(f)
 
 
 def _emit(payload: Dict, args, summary: str) -> None:
@@ -170,25 +192,20 @@ def _parse_assignment(text: str) -> Dict[int, bool]:
         name, _, value = part.partition("=")
         name = name.strip().lstrip("x")
         value = value.strip().lower()
-        if value not in ("0", "1", "true", "false"):
-            raise GraphToolkitError(f"bad assignment value in {part!r}")
+        if not name.isdigit() or value not in ("0", "1", "true", "false"):
+            raise FormatError(f"bad assignment {part!r}; expected x<number>=0|1")
         out[int(name)] = value in ("1", "true")
     return out
 
 
 def _cmd_map(args) -> int:
-    inst_obj = json.loads(Path(args.gadget).read_text())
-    f = reduction.NaeFormula(
-        inst_obj["formula"]["numVars"],
-        tuple(frozenset(c) for c in inst_obj["formula"]["clauses"]),
-    )
-    inst = reduction.build_gadget(f)
+    inst = _load_gadget(args.gadget)
     if args.to_orientation:
         assignment = _parse_assignment(args.to_orientation)
         d = reduction.assignment_to_orientation(inst, assignment)
         _emit(d.to_json(), args, "orientation built and verified: S is deletable")
         return 0
-    d = orientation_from_json(json.loads(Path(args.to_assignment).read_text()), inst.graph)
+    d = orientation_from_json(_load_json(args.to_assignment), inst.graph)
     assignment = reduction.orientation_to_assignment(inst, d)
     payload = {"assignment": {f"x{i}": v for i, v in sorted(assignment.items())}}
     _emit(payload, args, "feasible assignment recovered: "
@@ -197,7 +214,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = json.loads(Path(args.certificate).read_text())
+    obj = _load_json(args.certificate)
     graph = _load_graph(args.graph) if args.graph else None
     cert = certificate_from_json(obj, graph)
     g = graph if graph is not None else cert.orientations[0].graph
@@ -283,7 +300,7 @@ def main(argv: Optional[list] = None) -> int:
     except GraphToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

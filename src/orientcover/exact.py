@@ -1,21 +1,24 @@
 """Exact solvers: deletability decisions, exact Frank numbers, certificates.
 
-The enumeration kernel walks all orientations up to global reversal with the
-first edge's direction pinned, since deletable sets are reversal-invariant.
-Every answer ships a witness that is re-verified by direct deletion checks;
-budget exhaustion is a distinct outcome, never conflated with "no".
+One depth-first search over edge directions serves both solvers.  It walks
+the orientations up to global reversal, with the first edge's direction
+pinned since deletable sets are reversal-invariant, and cuts a branch as soon
+as a vertex with all of its edges directed is a source, a sink, or is cut off
+by deleting one arc of the requested set.  Every answer ships a witness that
+is re-verified by direct deletion checks; budget exhaustion is a distinct
+outcome, never conflated with "no".
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CertificateMismatchError,
     GraphTooLargeError,
+    InternalVerificationError,
     PreconditionError,
 )
 from .multigraph import Multigraph
@@ -30,17 +33,19 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class SolveLimits:
-    """Budgets for the exact solvers."""
+    """Budgets for the exact solvers.
+
+    Frank numbers are refused above `max_enumerable_edges`; deletability
+    decisions up to that many edges search without a budget, larger ones
+    stop after `node_budget` search nodes.
+    """
 
     max_enumerable_edges: int = 22
     node_budget: int = 2_000_000
-    time_budget: Optional[float] = None
 
     def __post_init__(self):
         if self.max_enumerable_edges < 1 or self.node_budget < 1:
             raise PreconditionError("solver limits must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise PreconditionError("time budget must be positive")
 
 
 DEFAULT_LIMITS = SolveLimits()
@@ -76,6 +81,8 @@ def certificate_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Fran
     from .graphio import graph_from_json
     from .orientation import orientation_from_json
 
+    if not isinstance(obj, dict):
+        raise FormatError("certificate JSON must be an object")
     if graph is None:
         if obj.get("graph") is None:
             raise FormatError("certificate JSON carries no graph and none was supplied")
@@ -89,7 +96,7 @@ def certificate_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Fran
     return FrankCertificate(orientations, cover)
 
 
-# -- enumeration kernel -----------------------------------------------------------
+# -- orientation search -----------------------------------------------------------
 
 
 class _Kernel:
@@ -179,22 +186,101 @@ class _Kernel:
         return result
 
 
+def _search(
+    kern: _Kernel, order: Sequence[int], sbit: int, budget: Optional[int],
+    leaf: Callable[[int, List[Tuple[int, int]]], bool],
+) -> Tuple[Status, int, int]:
+    """Depth-first search over edge directions, taken in `order`.
+
+    Bit i of an orientation mask reverses edge i; the first edge of `order`
+    keeps its natural direction.  A branch is cut when a vertex whose edges
+    are all directed has no in-arc or no out-arc, or a single in-arc (or
+    out-arc) that lies in the bitmask `sbit`.  Each strongly connected leaf
+    is handed to `leaf(mask, arcs)`, and the search stops at the first leaf
+    it accepts.  Returns (status, accepted mask or 0, nodes visited); a
+    search that needs more than `budget` nodes ends INDETERMINATE.
+    """
+    n, m, us, vs = kern.n, kern.m, kern.u, kern.v
+    limit = float("inf") if budget is None else budget
+    undecided = [0] * n
+    for i in range(m):
+        undecided[us[i]] += 1
+        undecided[vs[i]] += 1
+    in_count = [0] * n
+    out_count = [0] * n
+    in_free = [0] * n  # arcs entering that are outside sbit
+    out_free = [0] * n
+    nodes = 0
+    found = 0
+
+    def vertex_ok(x: int) -> bool:
+        if in_count[x] == 0 or out_count[x] == 0:
+            return False
+        if in_free[x] == 0 and in_count[x] < 2:
+            return False
+        if out_free[x] == 0 and out_count[x] < 2:
+            return False
+        return True
+
+    def rec(pos: int, mask: int) -> bool:
+        nonlocal nodes, found
+        nodes += 1
+        if nodes > limit:
+            return False
+        if pos == m:
+            arcs = kern.arcs_of(mask)
+            if kern.strongly_connected(arcs) and leaf(mask, arcs):
+                found = mask
+                return True
+            return False
+        i = order[pos]
+        free = 0 if (sbit >> i) & 1 else 1
+        for bit in ((0,) if pos == 0 else (0, 1)):
+            t, h = (vs[i], us[i]) if bit else (us[i], vs[i])
+            out_count[t] += 1
+            in_count[h] += 1
+            out_free[t] += free
+            in_free[h] += free
+            undecided[t] -= 1
+            undecided[h] -= 1
+            good = (undecided[t] > 0 or vertex_ok(t)) and (undecided[h] > 0 or vertex_ok(h))
+            if good and rec(pos + 1, mask | bit << i):
+                return True
+            out_count[t] -= 1
+            in_count[h] -= 1
+            out_free[t] -= free
+            in_free[h] -= free
+            undecided[t] += 1
+            undecided[h] += 1
+            if nodes > limit:
+                return False
+        return False
+
+    if rec(0, 0):
+        return Status.FOUND, found, nodes
+    if nodes > limit:
+        return Status.INDETERMINATE, 0, nodes
+    return Status.NO, 0, nodes
+
+
 def _scan_deletable_profiles(g: Multigraph, limits: SolveLimits) -> Tuple[_Kernel, Dict[int, int]]:
-    """All distinct deletable-arc masks with their smallest orientation mask."""
+    """All distinct deletable-arc masks with their smallest orientation mask.
+
+    Edges are searched in index order, so edge 0 keeps its natural direction.
+    """
     kern = _Kernel(g)
     if kern.m > limits.max_enumerable_edges:
         raise GraphTooLargeError(
             f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
     profiles: Dict[int, int] = {}
-    half = 1 << max(kern.m - 1, 0)
-    for low in range(half):
-        mask = low << 1  # the lowest-id edge keeps its natural direction
-        arcs = kern.arcs_of(mask)
-        if not kern.strongly_connected(arcs):
-            continue
+
+    def record(mask: int, arcs: List[Tuple[int, int]]) -> bool:
         dmask = kern.deletable_mask(arcs)
-        if dmask not in profiles:
+        if dmask not in profiles or mask < profiles[dmask]:
             profiles[dmask] = mask
+        return False
+
+    _search(kern, range(kern.m), 0, None, record)
     return kern, profiles
 
 
@@ -279,7 +365,7 @@ def frank_lower_bound(g: Multigraph) -> int:
 def frank_number_exact(
     g: Multigraph, limits: SolveLimits = DEFAULT_LIMITS
 ) -> Tuple[int, FrankCertificate]:
-    """Exact Frank number by full orientation enumeration plus exact set cover."""
+    """Exact Frank number by a scan of all strong orientations plus exact set cover."""
     if g.num_vertices < 2 or g.edge_connectivity() < 3:
         raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
     kern, profiles = _scan_deletable_profiles(g, limits)
@@ -306,8 +392,9 @@ def frank_number_exact(
                 break
     cert = FrankCertificate(orientations, cover)
     ok, bad = verify_certificate(g, cert)
-    if not ok:  # pragma: no cover - enumeration output is verified by construction
-        raise PreconditionError(f"internal certificate failed verification on {sorted(bad)}")
+    if not ok:
+        raise InternalVerificationError(
+            f"internal certificate failed verification on {sorted(bad)}")
     return len(orientations), cert
 
 
@@ -316,8 +403,8 @@ def deletability_decide(
 ) -> DecideResult:
     """Search for an orientation in which every edge of s is deletable.
 
-    Full enumeration under the edge limit; otherwise backtracking over edge
-    directions with local cut pruning.  A budget exhaustion is reported as
+    The search has no node budget up to the edge limit and stops after
+    `limits.node_budget` nodes above it; a budget exhaustion is reported as
     INDETERMINATE.  Any FOUND answer carries a verified witness.
     """
     sset = frozenset(s)
@@ -328,122 +415,20 @@ def deletability_decide(
         raise PreconditionError("deletability needs a connected graph")
     kern = _Kernel(g)
     s_idx = [kern.eindex[e] for e in sset if not g.is_loop(e)]
-    if kern.m <= limits.max_enumerable_edges:
-        return _decide_by_enumeration(kern, s_idx)
-    return _decide_by_backtracking(g, kern, s_idx, limits)
-
-
-def _decide_by_enumeration(kern: _Kernel, s_idx: List[int]) -> DecideResult:
-    half = 1 << max(kern.m - 1, 0)
-    nodes = 0
-    for low in range(half):
-        mask = low << 1
-        nodes += 1
-        arcs = kern.arcs_of(mask)
-        if not kern.strongly_connected(arcs):
-            continue
-        dmask = kern.deletable_mask(arcs, candidates=s_idx)
-        if all((dmask >> i) & 1 for i in s_idx):
-            return DecideResult(Status.FOUND, kern.orientation_of(mask), nodes)
-    return DecideResult(Status.NO, None, nodes)
-
-
-def _decide_by_backtracking(
-    g: Multigraph, kern: _Kernel, s_idx: List[int], limits: SolveLimits
-) -> DecideResult:
     sbit = 0
     for i in s_idx:
         sbit |= 1 << i
     # edges on small cuts first: they carry the tightest constraints
-    lam_key = {}
-    for i, e in enumerate(kern.edges):
-        u, v = g.ends(e)
-        lam_key[i] = g.local_edge_connectivity(u, v)
+    lam_key = [g.local_edge_connectivity(*g.ends(e)) for e in kern.edges]
     order = sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
+    budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
 
-    n = kern.n
-    incident: List[List[int]] = [[] for _ in range(n)]
-    for i in range(kern.m):
-        incident[kern.u[i]].append(i)
-        incident[kern.v[i]].append(i)
-    undecided = [len(incident[x]) for x in range(n)]
-    in_count = [0] * n
-    out_count = [0] * n
-    in_free = [0] * n  # arcs entering that are not in s
-    out_free = [0] * n
-    direction = [0] * kern.m
+    def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
+        return kern.deletable_mask(arcs, candidates=s_idx) & sbit == sbit
 
-    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
-    nodes = 0
-    exhausted = False
-
-    def vertex_ok(x: int) -> bool:
-        if in_count[x] == 0 or out_count[x] == 0:
-            return False
-        if in_free[x] == 0 and in_count[x] < 2:
-            return False
-        if out_free[x] == 0 and out_count[x] < 2:
-            return False
-        return True
-
-    def place(i: int, bit: int) -> Tuple[int, int]:
-        direction[i] = bit
-        t, h = (kern.v[i], kern.u[i]) if bit else (kern.u[i], kern.v[i])
-        out_count[t] += 1
-        in_count[h] += 1
-        if not (sbit >> i) & 1:
-            out_free[t] += 1
-            in_free[h] += 1
-        undecided[t] -= 1
-        undecided[h] -= 1
-        return t, h
-
-    def unplace(i: int, t: int, h: int) -> None:
-        out_count[t] -= 1
-        in_count[h] -= 1
-        if not (sbit >> i) & 1:
-            out_free[t] -= 1
-            in_free[h] -= 1
-        undecided[t] += 1
-        undecided[h] += 1
-
-    result: Optional[Orientation] = None
-
-    def rec(pos: int) -> bool:
-        nonlocal nodes, exhausted, result
-        nodes += 1
-        if nodes > limits.node_budget or (deadline is not None and time.monotonic() > deadline):
-            exhausted = True
-            return False
-        if pos == kern.m:
-            mask = 0
-            for i in range(kern.m):
-                mask |= direction[i] << i
-            arcs = kern.arcs_of(mask)
-            if not kern.strongly_connected(arcs):
-                return False
-            dmask = kern.deletable_mask(arcs, candidates=s_idx)
-            if all((dmask >> j) & 1 for j in s_idx):
-                result = kern.orientation_of(mask)
-                return True
-            return False
-        i = order[pos]
-        bits = (0,) if pos == 0 else (0, 1)
-        for bit in bits:
-            t, h = place(i, bit)
-            good = (undecided[t] > 0 or vertex_ok(t)) and (undecided[h] > 0 or vertex_ok(h))
-            if good and rec(pos + 1):
-                return True
-            unplace(i, t, h)
-            if exhausted:
-                return False
-        return False
-
-    if rec(0):
-        return DecideResult(Status.FOUND, result, nodes)
-    if exhausted:
-        return DecideResult(Status.INDETERMINATE, None, nodes)
-    return DecideResult(Status.NO, None, nodes)
+    status, mask, nodes = _search(kern, order, sbit, budget, all_deletable)
+    witness = kern.orientation_of(mask) if status is Status.FOUND else None
+    return DecideResult(status, witness, nodes)
 
 
 def verify_certificate(g: Multigraph, cert: FrankCertificate) -> Tuple[bool, FrozenSet[int]]:

@@ -8,7 +8,6 @@ exact solvers; internal constructions are not routed through here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -150,7 +149,3 @@ def graph_from_json(obj: Dict, cap: Optional[SizeCap] = DEFAULT_CAP) -> Multigra
     if len(edges) != len(obj["edges"]):
         raise FormatError("duplicate edge ids in graph JSON")
     return check_cap(Multigraph(vertices, edges), cap)
-
-
-def dumps_graph(g: Multigraph) -> str:
-    return json.dumps(graph_to_json(g), sort_keys=True, indent=2) + "\n"

@@ -251,15 +251,6 @@ class Multigraph:
         cap = self._capacities()
         return _max_flow(cap, u, v)
 
-    def min_cut_side(self, u: int, v: int) -> Tuple[int, FrozenSet[int]]:
-        """Max-flow value and the u-side of one minimum u-v cut."""
-        if u == v:
-            raise UnknownVertexError("min cut needs two distinct vertices")
-        cap = self._capacities()
-        value = _max_flow(cap, u, v)
-        side = _residual_side(cap, u)
-        return value, frozenset(side)
-
     def edge_connectivity(self) -> int:
         """Size of a minimum edge cut; 0 for disconnected graphs."""
         if self.num_vertices < 2:
@@ -269,11 +260,6 @@ class Multigraph:
         verts = self.vertices
         s = verts[0]
         return min(self.local_edge_connectivity(s, v) for v in verts[1:])
-
-    def is_k_edge_connected(self, k: int) -> bool:
-        if self.num_vertices < 2:
-            return True
-        return self.edge_connectivity() >= k
 
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
@@ -387,9 +373,6 @@ class ContractionResult:
     graph: Multigraph
     vertex_map: Dict[int, int]
     edge_status: Dict[int, str]
-
-    def surviving_edges(self) -> Tuple[int, ...]:
-        return tuple(e for e, st in sorted(self.edge_status.items()) if st != CONTRACTED_AWAY)
 
 
 # -- flow kernel -------------------------------------------------------------

@@ -9,7 +9,6 @@ for the enumeration-heavy callers.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
-from .multigraph import ContractionResult, Multigraph
+from .multigraph import ContractionResult, Multigraph, _max_flow
 
 
 class Orientation:
@@ -130,7 +129,7 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
             graph = graph_from_json(ref, cap=None)
     try:
         tails = {int(e): int(t) for e, t in obj["tails"].items()}
-    except (KeyError, AttributeError, ValueError) as exc:
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed orientation JSON: {exc}") from None
     return Orientation(graph, tails)
 
@@ -172,15 +171,6 @@ def _reaches_without(d: Orientation, banned_edge: int, src: int, dst: int) -> bo
                 seen.add(y)
                 stack.append(y)
     return False
-
-
-def is_deletable_arc(d: Orientation, e: int) -> bool:
-    """True when d is strongly connected and stays so after deleting e."""
-    if not is_strongly_connected(d):
-        return False
-    if d.graph.is_loop(e):
-        return True
-    return _reaches_without(d, e, d.tail(e), d.head(e))
 
 
 def deletable_arcs(d: Orientation) -> FrozenSet[int]:
@@ -268,26 +258,7 @@ def directed_local_connectivity(d: Orientation, u: int, v: int) -> int:
     cap: Dict[int, Dict[int, int]] = {x: {} for x in d.graph.vertices}
     for _, t, h in d.arcs():
         cap[t][h] = cap[t].get(h, 0) + 1
-        cap[h].setdefault(t, 0)
-    flow = 0
-    while True:
-        parent = {u: None}
-        queue = deque([u])
-        while queue and v not in parent:
-            x = queue.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if v not in parent:
-            return flow
-        y = v
-        while parent[y] is not None:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] = cap[y].get(x, 0) + 1
-            y = x
-        flow += 1
+    return _max_flow(cap, u, v)
 
 
 # -- contraction -----------------------------------------------------------------
@@ -472,14 +443,13 @@ def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int
     return True
 
 
-def _augment_with_pairing(g: Multigraph, pairing: Sequence[Tuple[int, int]]) -> Tuple[Multigraph, List[int]]:
+def _augment_with_pairing(g: Multigraph, pairing: Sequence[Tuple[int, int]]) -> Multigraph:
+    """g plus one new edge per pair, with ids above every existing id."""
     base = max(g.edge_ids, default=-1) + 1
     edges = {e: g.ends(e) for e in g.edge_ids}
-    added = []
     for k, (a, b) in enumerate(pairing):
         edges[base + k] = (a, b)
-        added.append(base + k)
-    return Multigraph(g.vertices, edges), added
+    return Multigraph(g.vertices, edges)
 
 
 def well_balanced_orientation(g: Multigraph, pairing_budget: int = 4096) -> Orientation:
@@ -505,7 +475,7 @@ def well_balanced_orientation(g: Multigraph, pairing_budget: int = 4096) -> Orie
         if tested >= pairing_budget:
             break
         tested += 1
-        aug, _ = _augment_with_pairing(g, pairing)
+        aug = _augment_with_pairing(g, pairing)
         tails = eulerian_circuit_arcs(aug)
         d = Orientation(g, {e: tails[e] for e in g.edge_ids if not g.is_loop(e)})
         if is_well_balanced(g, d, lam):

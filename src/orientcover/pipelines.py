@@ -31,6 +31,7 @@ from .orientation import (
     orient_quotient,
     pairings,
     well_balanced_orientation,
+    _augment_with_pairing,
     _local_lambdas,
 )
 from .packings import SevenPackings, seven_cycle_packings
@@ -204,7 +205,7 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
         if tested >= pairing_budget:
             break
         tested += 1
-        aug = _augment(quotient, pairing)
+        aug = _augment_with_pairing(quotient, pairing)
         try:
             d_aug = eulerian_orientation_constrained(aug, constraints)
         except InternalVerificationError:  # pragma: no cover - detachment always satisfies
@@ -217,14 +218,6 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
         if good(d):
             return d
     return _fallback_matching_orientation(g, m, p)
-
-
-def _augment(g: Multigraph, pairing: Sequence[Tuple[int, int]]) -> Multigraph:
-    base = max(g.edge_ids, default=-1) + 1
-    edges = {e: g.ends(e) for e in g.edge_ids}
-    for k, (a, b) in enumerate(pairing):
-        edges[base + k] = (a, b)
-    return Multigraph(g.vertices, edges)
 
 
 def _orient_blocks(g: Multigraph, rest: Multigraph, blocks: Sequence[FrozenSet[int]],

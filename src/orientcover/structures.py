@@ -142,11 +142,6 @@ def cycles_from_edge_set(g: Multigraph, edge_ids: Iterable[int]) -> CyclePacking
     return CyclePacking(tuple(cycles))
 
 
-def cycle_packing_of_components(g: Multigraph, edge_ids: Iterable[int]) -> CyclePacking:
-    """Cycles formed by the nontrivial components of the given edge set."""
-    return cycles_from_edge_set(g, edge_ids)
-
-
 def orient_cycle_as_circuit(c: Cycle, g: Multigraph) -> Dict[int, int]:
     """Tails that run the cycle forward along its stored order."""
     tails = {}

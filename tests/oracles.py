@@ -136,3 +136,41 @@ def brute_deletability(vertices: Sequence[int], edges: Sequence[Edge],
         if brute_deletable_set(n, idx_arcs, s_nonloop):
             return arcs + loops
     return None
+
+
+def _bit_closure_strong(n: int, arcs: Sequence[Tuple[int, int]]) -> bool:
+    """Warshall closure over bitset rows, vertex indices 0..n-1."""
+    reach = [1 << i for i in range(n)]
+    for t, h in arcs:
+        reach[t] |= 1 << h
+    for k in range(n):
+        bit, row = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row
+    full = (1 << n) - 1
+    return all(r == full for r in reach)
+
+
+def brute_deletable_profiles(vertices: Sequence[int], edges: Sequence[Edge]) -> Dict[int, int]:
+    """Deletable-arc bitmask -> smallest orientation bitmask, over strong orientations.
+
+    Bit i of both masks is the i-th non-loop edge by id; an orientation mask
+    sets bit i to send that edge from v to u.  The first edge keeps its
+    direction, so this loops over every even mask below 2^m in ascending
+    order and keeps the first mask seen per deletable set.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    nonloop = sorted((e, index[u], index[v]) for e, u, v in edges if u != v)
+    n, m = len(vertices), len(nonloop)
+    profiles: Dict[int, int] = {}
+    for mask in range(0, 1 << m, 2):
+        arcs = [(v, u) if (mask >> i) & 1 else (u, v) for i, (_, u, v) in enumerate(nonloop)]
+        if not _bit_closure_strong(n, arcs):
+            continue
+        deletable = 0
+        for i in range(m):
+            if _bit_closure_strong(n, arcs[:i] + arcs[i + 1:]):
+                deletable |= 1 << i
+        profiles.setdefault(deletable, mask)
+    return profiles

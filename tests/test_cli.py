@@ -128,3 +128,26 @@ def test_json_format_stdout(capsys):
     payload = json.loads(out)
     assert payload["frankNumber"] == 2
     assert set(payload["cover"]) == {str(e) for e in range(6)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("frank", "--exact", "{bad}"),
+    ("verify", "{bad}"),
+    ("connectivity", "{dir}"),
+    ("map", "--to-orientation", "x1=1", "{no_num_vars}"),
+    ("map", "--to-orientation", "y1=1", "{gadget}"),
+], ids=["frank-bad-json", "verify-bad-json", "directory", "gadget-without-numVars",
+        "bad-assignment-name"])
+def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [0, 1')
+    no_num_vars = tmp_path / "no_num_vars.json"
+    no_num_vars.write_text(json.dumps({"formula": {"clauses": [[1, 2, 3]]}}))
+    formula = tmp_path / "example.cnf3"
+    formula.write_text(PAPER_EXAMPLE)
+    gadget = tmp_path / "gadget.json"
+    assert run(capsys, "reduce", "nae3sat", str(formula), "--out", str(gadget))[0] == 0
+    paths = {"bad": bad, "dir": tmp_path, "no_num_vars": no_num_vars, "gadget": gadget}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert err.startswith("error: ")

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from orientcover.corpus import named_graph
-from orientcover.errors import GraphTooLargeError, PreconditionError
+from orientcover import exact
+from orientcover.corpus import corpus_names, named_graph
+from orientcover.errors import GraphTooLargeError, InternalVerificationError, PreconditionError
 from orientcover.exact import (
     FrankCertificate,
     SolveLimits,
@@ -19,11 +22,21 @@ from orientcover.orientation import (
     is_k_arc_connected,
 )
 
-from oracles import brute_deletability, brute_frank_number
+from oracles import brute_deletability, brute_deletable_profiles, brute_frank_number
 
 
 def as_edges(g):
     return [(e, *g.ends(e)) for e in g.edge_ids]
+
+
+def random_cubic_3ec(rng, n):
+    """Configuration-model cubic multigraph on n vertices, redrawn until 3-edge-connected."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        g = Multigraph.from_pairs(list(zip(points[::2], points[1::2])))
+        if g.edge_connectivity() >= 3:
+            return g
 
 
 # -- Frank numbers ------------------------------------------------------------------
@@ -90,6 +103,26 @@ def test_exact_at_most_3_on_essentially_4ec_corpus():
         assert frank_number_exact(g)[0] <= 3, name
 
 
+def test_frank_internal_verification_failure_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(exact, "verify_certificate", lambda g, cert: (False, frozenset({0})))
+    with pytest.raises(InternalVerificationError):
+        frank_number_exact(named_graph("k4"))
+
+
+def test_profile_scan_matches_plain_enumeration():
+    rng = random.Random(2012)
+    graphs = [named_graph(name) for name in corpus_names()]
+    graphs += [random_cubic_3ec(rng, n) for n in (6, 8, 8, 10, 10)]
+    scanned = 0
+    for g in graphs:
+        if g.num_edges > 18:
+            continue
+        _, profiles = exact._scan_deletable_profiles(g, SolveLimits())
+        assert profiles == brute_deletable_profiles(g.vertices, as_edges(g)), g
+        scanned += 1
+    assert scanned >= 15
+
+
 def test_determinism_of_certificates():
     g = named_graph("petersen")
     _, cert1 = frank_number_exact(g)
@@ -128,17 +161,18 @@ def test_decide_three_cut_obstruction():
 
 
 def test_decide_agrees_with_enumeration_small():
-    tight = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
+    budgeted = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
     for name in ("k4", "theta", "prism3"):
         g = named_graph(name)
         edges = list(g.edge_ids)
         subsets = [edges[:1], edges[:2], edges[:3], edges]
         for s in subsets:
-            full = deletability_decide(g, s)
-            back = deletability_decide(g, s, tight)
-            assert full.status == back.status, (name, s)
-            if back.status is Status.FOUND:
-                assert is_deletable_set(back.orientation, s)
+            expected = brute_deletability(g.vertices, as_edges(g), set(s)) is not None
+            for limits in (SolveLimits(), budgeted):
+                result = deletability_decide(g, s, limits)
+                assert result.status is (Status.FOUND if expected else Status.NO), (name, s)
+                if result.status is Status.FOUND:
+                    assert is_deletable_set(result.orientation, s)
 
 
 def test_decide_budget_indeterminate_distinct_from_no():
