@@ -9,7 +9,7 @@ exact solvers; internal constructions are not routed through here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from .errors import FormatError, Graph6FormatError, GraphTooLargeError
 from .multigraph import Multigraph

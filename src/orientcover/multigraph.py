@@ -252,21 +252,49 @@ class Multigraph:
         return _max_flow(cap, u, v)
 
     def edge_connectivity(self) -> int:
-        """Size of a minimum edge cut; 0 for disconnected graphs."""
+        """Size of a minimum edge cut; 0 for disconnected graphs.
+
+        n - 1 flows from the smallest vertex, each on a copy of one shared
+        capacity map.
+        """
         if self.num_vertices < 2:
             raise UnknownVertexError("edge connectivity needs at least 2 vertices")
         if not self.is_connected():
             return 0
         verts = self.vertices
+        cap = self._capacities()
         s = verts[0]
-        return min(self.local_edge_connectivity(s, v) for v in verts[1:])
+        return min(_max_flow(_copy_caps(cap), s, v) for v in verts[1:])
+
+    def _flow_tree(self) -> Dict[Tuple[int, int], int]:
+        """Edge connectivity on the n - 1 edges of a flow-equivalent tree, keyed (u < v).
+
+        Gusfield's method (Gusfield 1990, after Gomory and Hu 1961): every vertex
+        but the smallest starts as a child of the smallest; each child s in turn
+        takes one flow to its parent t, and the later children of t that the
+        residual still reaches from s move under s.  For every vertex pair the
+        edge connectivity is the minimum weight on their tree path, so these
+        n - 1 pairs carry all pairwise values.
+        """
+        verts = self.vertices
+        cap = self._capacities()
+        parent = {v: verts[0] for v in verts[1:]}
+        lam = {}
+        for i, s in enumerate(verts[1:], 1):
+            t = parent[s]
+            work = _copy_caps(cap)
+            lam[(min(s, t), max(s, t))] = _max_flow(work, s, t)
+            side = _residual_side(work, s)
+            for v in verts[i + 1:]:
+                if v in side and parent[v] == t:
+                    parent[v] = s
+        return lam
 
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
 
-        Tested by the edge-pair merge method: a nontrivial 3-cut forces an
-        edge inside each side, so it shows up as local connectivity exactly 3
-        between the merged ends of some vertex-disjoint edge pair.
+        Tested as edge connectivity >= 3 followed by the pinned-vertex search
+        of find_nontrivial_3cut.
         """
         if self.num_vertices >= 2 and self.edge_connectivity() < 3:
             return False
@@ -276,33 +304,61 @@ class Multigraph:
         """One (side, cut edge ids) with d(side) = 3 and both sides >= 2 vertices.
 
         Returns None if no such cut exists.  Assumes the graph is
-        3-edge-connected; on smaller cuts the answer is still a valid cut of
-        size 3 if one exists.
+        3-edge-connected; on other graphs a cut returned is still a valid
+        nontrivial 3-cut, but None proves nothing.
+
+        The cut is that of the first vertex-disjoint edge pair, in edge id
+        order, whose merged ends have local connectivity 3; its side is the
+        smallest one holding the first edge and avoiding the second.
+
+        A pinned-vertex search finds it in few flows.  In a 3-edge-connected
+        graph a 3-cut is a minimum cut, so both of its sides are connected.
+        Pin s, an end of the first non-loop edge: a nontrivial 3-cut then has
+        a neighbour u of s on the side of s and an edge inside the other side.
+        One flow per distinct neighbour u and per edge avoiding s and u thus
+        decides existence, at most deg(s) * m flows.  The other end of the
+        first edge goes first, which makes its flows the scan of the first
+        edge.  If the first edge crosses every nontrivial 3-cut, the scan goes
+        on through the next edges; each edge off the cut already found has a
+        cut of its own, so at most three more edges are scanned.
         """
-        pairs = set()
         nonloops = [e for e in self._edges if not self.is_loop(e)]
-        for i, e in enumerate(nonloops):
-            a, b = self._edges[e]
-            for f in nonloops[i + 1:]:
-                c, d = self._edges[f]
-                if a in (c, d) or b in (c, d):
-                    continue
-                key = (min(a, b), max(a, b), min(c, d), max(c, d))
-                if key in pairs:
-                    continue
-                pairs.add(key)
-                cap = self._capacities()
-                s = _merge_nodes(cap, a, b)
-                t = _merge_nodes(cap, c, d)
-                value = _max_flow(cap, s, t)
-                if value == 3:
-                    # the residual holds original vertex ids; b rides with a
-                    side = _residual_side(cap, s)
-                    xs = frozenset(side | {b})
-                    cut = self.edge_cut(xs)
-                    if len(cut) != 3:  # pragma: no cover - guarded by flow theory
-                        raise AssertionError("extracted cut does not match flow value")
-                    return xs, cut
+        if not nonloops:
+            return None
+        cap = self._capacities()
+        s, u0 = self._edges[nonloops[0]]
+        neighbours = dict.fromkeys([u0] + [self.other_end(e, s) for e in self.incident_edges(s)
+                                           if not self.is_loop(e)])
+        for u in neighbours:
+            found = self._3cut_around(cap, s, u)
+            if found is not None:
+                break
+        if found is None or u == u0:
+            return found
+        # the first edge crosses every nontrivial 3-cut: the scan goes on from the second
+        return next(filter(None, (self._3cut_around(cap, *self._edges[e]) for e in nonloops[1:])))
+
+    def _3cut_around(self, cap: Dict[int, Dict[int, int]], a: int,
+                     b: int) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
+        """The cut of the first edge cd avoiding a and b with 3 = flow({a, b}, {c, d})."""
+        seen = set()
+        for c, d in self._edges.values():
+            if c == d or c in (a, b) or d in (a, b):
+                continue
+            key = (min(c, d), max(c, d))
+            if key in seen:
+                continue
+            seen.add(key)
+            work = _copy_caps(cap)
+            src = _merge_nodes(work, a, b)
+            dst = _merge_nodes(work, c, d)
+            if _max_flow(work, src, dst) == 3:
+                # the residual holds original vertex ids; b rides with a
+                xs = frozenset(_residual_side(work, src) | {b})
+                cut = self.edge_cut(xs)
+                if len(cut) != 3:  # pragma: no cover - guarded by flow theory
+                    raise AssertionError("extracted cut does not match flow value")
+                return xs, cut
         return None
 
     # -- bridges and 2-edge-connected pieces ---------------------------------
@@ -376,6 +432,11 @@ class ContractionResult:
 
 
 # -- flow kernel -------------------------------------------------------------
+
+
+def _copy_caps(cap: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """A copy of a capacity map whose rows a flow may change."""
+    return {x: dict(row) for x, row in cap.items()}
 
 
 def _merge_nodes(cap: Dict[int, Dict[int, int]], a: int, b: int) -> int:

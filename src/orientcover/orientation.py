@@ -418,19 +418,17 @@ def pairings(odd: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
     return rec(tuple(odd))
 
 
-def _local_lambdas(g: Multigraph) -> Dict[Tuple[int, int], int]:
-    verts = g.vertices
-    lam = {}
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            lam[(u, v)] = g.local_edge_connectivity(u, v)
-    return lam
-
-
 def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int, int], int]] = None) -> bool:
-    """Check the floor(lambda/2) pairwise directed-connectivity condition."""
+    """Check the floor(lambda/2) pairwise directed-connectivity condition.
+
+    lam lists the pairs to check with their edge connectivity; by default the
+    flow-equivalent tree of Multigraph._flow_tree.  Its pairs suffice: directed
+    connectivity obeys lambda_D(u, w) >= min(lambda_D(u, v), lambda_D(v, w)),
+    and floor(min / 2) is the minimum of the halves, so the condition on the
+    tree edges of a path gives it for the path's ends.
+    """
     if lam is None:
-        lam = _local_lambdas(g)
+        lam = g._flow_tree()
     # high requirements first: they fail fastest
     for (u, v), l in sorted(lam.items(), key=lambda kv: -kv[1]):
         need = l // 2
@@ -463,7 +461,7 @@ def well_balanced_orientation(g: Multigraph, pairing_budget: int = 4096) -> Orie
     """
     if not g.is_connected():
         raise PreconditionError("well-balanced orientation needs a connected graph")
-    lam = _local_lambdas(g)
+    lam = g._flow_tree()
     odd = _odd_vertices(g)
     if not odd:
         d = eulerian_orientation(g)

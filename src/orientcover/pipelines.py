@@ -20,25 +20,22 @@ from .errors import (
     SearchExhaustedError,
 )
 from .exact import FrankCertificate, verify_certificate
-from .multigraph import ContractionResult, Multigraph
+from .multigraph import Multigraph
 from .orientation import (
     Orientation,
     eulerian_orientation_constrained,
     is_deletable_set,
-    is_strongly_connected,
     is_well_balanced,
     lift_tail,
     orient_quotient,
     pairings,
     well_balanced_orientation,
     _augment_with_pairing,
-    _local_lambdas,
 )
-from .packings import SevenPackings, seven_cycle_packings
+from .packings import seven_cycle_packings
 from .structures import (
     CyclePacking,
     EMPTY_PACKING,
-    Cycle,
     cycles_from_edge_set,
     find_deletable_arc_on_circuit,
     is_circuit_in,
@@ -197,7 +194,7 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
             return d
         raise InternalVerificationError("trivial quotient produced a bad orientation")
 
-    lam = _local_lambdas(quotient)
+    lam = quotient._flow_tree()
     odd = [v for v in quotient.vertices if quotient.degree(v) % 2]
     tested = 0
     candidates = pairings(odd) if odd else iter([()])

@@ -11,8 +11,8 @@ output before returning it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import FormatError, InternalVerificationError, PreconditionError
 from .multigraph import Multigraph

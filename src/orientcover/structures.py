@@ -4,8 +4,8 @@ used by the certifying pipelines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import (
     InternalVerificationError,
@@ -13,7 +13,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .multigraph import ContractionResult, Multigraph
+from .multigraph import Multigraph
 from .orientation import (
     Orientation,
     contract_orientation,

@@ -80,6 +80,52 @@ def brute_has_nontrivial_3cut(vertices: Sequence[int], edges: Sequence[Edge]) ->
     return any(2 <= len(xs) <= len(vertices) - 2 for xs in brute_3cuts(vertices, edges))
 
 
+def brute_first_pair_3cut(vertices: Sequence[int], edges: Sequence[Edge]) -> Optional[FrozenSet[int]]:
+    """Side of the first vertex-disjoint edge pair, in list order, that a 3-cut separates.
+
+    The side is the intersection of every 3-cut side holding the first edge
+    and avoiding the second: the smallest such side on 3-edge-connected
+    graphs, where every 3-cut is a minimum cut.
+    """
+    cuts = brute_3cuts(vertices, edges)
+    nonloop = [(u, v) for _, u, v in edges if u != v]
+    for i, (a, b) in enumerate(nonloop):
+        for c, d in nonloop[i + 1:]:
+            if {a, b} & {c, d}:
+                continue
+            sides = [xs for xs in cuts if a in xs and b in xs and c not in xs and d not in xs]
+            if sides:
+                return frozenset.intersection(*sides)
+    return None
+
+
+def has_triangle(pairs: Sequence[Tuple[int, int]]) -> bool:
+    adj: Dict[int, Set[int]] = {}
+    for u, v in pairs:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return any(adj[u] & adj[v] for u, v in pairs if u != v)
+
+
+def random_cubic_3ec_pairs(rng, n: int, triangle: bool) -> List[Tuple[int, int]]:
+    """Configuration-model cubic graph on n vertices, with or without a triangle.
+
+    Redrawn until simple, triangle-matching and 3-edge-connected by
+    subset enumeration; positions in the list are the edge ids.
+    """
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+        keys = {(min(u, v), max(u, v)) for u, v in pairs}
+        if any(u == v for u, v in pairs) or len(keys) != len(pairs):
+            continue
+        if has_triangle(pairs) != triangle:
+            continue
+        if brute_min_cut(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)]) >= 3:
+            return pairs
+
+
 def all_orientations(edges: Sequence[Edge]):
     """Yield lists of (edge id, tail, head) over every direction choice."""
     nonloop = [(e, u, v) for e, u, v in edges if u != v]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,21 @@ def test_malformed_input_exits_1_without_traceback(tmp_path, capsys, argv):
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("pipeline", ["esse4", "seven"])
+@pytest.mark.parametrize("graph", ["corpus:petersen", "corpus:hub_triangles"])
+def test_output_independent_of_hash_seed(pipeline, graph):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "import sys; from orientcover.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "--format", "json", "frank", "--pipeline", pipeline, graph],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["pipeline"] == pipeline

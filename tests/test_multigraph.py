@@ -1,13 +1,21 @@
 import itertools
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from orientcover.corpus import named_graph
+from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import UnknownEdgeError, UnknownVertexError
 from orientcover.multigraph import BECAME_LOOP, CONTRACTED_AWAY, KEPT, Multigraph
 
-from oracles import brute_3cuts, brute_min_cut
+from oracles import (
+    brute_3cuts,
+    brute_first_pair_3cut,
+    brute_has_nontrivial_3cut,
+    brute_min_cut,
+    random_cubic_3ec_pairs,
+)
 
 
 def as_edges(g):
@@ -132,6 +140,114 @@ def test_find_nontrivial_3cut_witness():
     assert len(cut) == 3
     assert 2 <= len(side) <= g.num_vertices - 2
     assert g.edge_cut(side) == cut
+
+
+def random_cubic_graphs():
+    """Seeded 3-edge-connected cubic graphs on 8-12 vertices, with and without a triangle."""
+    rng = random.Random(20201205)
+    return [(f"random{n}{'-triangle' if tri else ''}-{k}",
+             Multigraph.from_pairs(random_cubic_3ec_pairs(rng, n, tri)))
+            for n in (8, 10, 12) for tri in (True, False) for k in range(3)]
+
+
+# The first edge crosses every nontrivial 3-cut and the second avoids its first
+# end, so the search has to scan past the neighbours of that end: prism3 listed
+# rung first, and K4 with two adjacent vertices truncated, listed with the edge
+# joining the two triangles first.
+FIRST_EDGE_CROSSES_ALL = {
+    "prism3-rung-first": [(0, 3), (3, 4), (4, 5), (3, 5), (0, 1), (1, 2), (0, 2), (1, 4), (2, 5)],
+    "k4-two-truncated": [(0, 3), (3, 4), (4, 5), (3, 5), (0, 1), (1, 2), (0, 2),
+                         (1, 6), (2, 7), (4, 6), (5, 7), (6, 7)],
+}
+
+
+def small_3ec_graphs():
+    corpus = [(name, named_graph(name)) for name in corpus_names()]
+    crossing = [(name, Multigraph.from_pairs(pairs)) for name, pairs in FIRST_EDGE_CROSSES_ALL.items()]
+    return [(name, g) for name, g in corpus + crossing + random_cubic_graphs()
+            if g.num_vertices <= 12 and g.edge_connectivity() >= 3]
+
+
+def test_nontrivial_3cut_search_matches_subset_enumeration():
+    graphs = small_3ec_graphs()
+    assert len(graphs) >= 25
+    found = 0
+    for name, g in graphs:
+        cut = g.find_nontrivial_3cut()
+        expected = brute_has_nontrivial_3cut(g.vertices, as_edges(g))
+        assert (cut is not None) == expected == (not g.is_essentially_4ec()), name
+        if cut is not None:
+            found += 1
+            side, edges = cut
+            assert len(edges) == 3 and g.edge_cut(side) == edges, name
+            assert 2 <= len(side) <= g.num_vertices - 2, name
+            # the same cut the first separable edge pair in id order names
+            assert side == brute_first_pair_3cut(g.vertices, as_edges(g)), name
+    assert 0 < found < len(graphs)
+
+
+def test_3cut_search_on_graphs_below_3ec_returns_only_valid_cuts():
+    # without 3-edge-connectivity None proves nothing, but a returned cut is real
+    rng = random.Random(3)
+    graphs = [Multigraph.from_pairs([(rng.randrange(n), rng.randrange(n)) for _ in range(m)])
+              for n in (5, 6, 7) for m in (6, 9, 12) for _ in range(15)]
+    below = [g for g in graphs if g.num_vertices >= 2 and g.edge_connectivity() < 3]
+    assert len(below) >= 100
+    found = 0
+    for g in below:
+        cut = g.find_nontrivial_3cut()
+        if cut is not None:
+            found += 1
+            side, edges = cut
+            assert len(edges) == 3 and g.edge_cut(side) == edges
+            assert 2 <= len(side) <= g.num_vertices - 2
+    assert found >= 10
+
+
+# -- flow-equivalent tree ----------------------------------------------------------
+
+
+def tree_graphs():
+    return [named_graph(name) for name in corpus_names()] + [g for _, g in random_cubic_graphs()]
+
+
+def tree_path_min(lam, u, v):
+    tree = nx.Graph()
+    tree.add_weighted_edges_from((a, b, w) for (a, b), w in lam.items())
+    path = nx.shortest_path(tree, u, v)
+    return min(lam[min(a, b), max(a, b)] for a, b in zip(path, path[1:]))
+
+
+def test_flow_tree_carries_every_pair():
+    for g in tree_graphs():
+        lam = g._flow_tree()
+        assert len(lam) == g.num_vertices - 1 and all(u < v for u, v in lam)
+        for u, v in itertools.combinations(g.vertices, 2):
+            assert tree_path_min(lam, u, v) == g.local_edge_connectivity(u, v), (g, u, v)
+
+
+def test_flow_tree_matches_networkx_gomory_hu():
+    for g in tree_graphs():
+        simple = nx.Graph()
+        for e in g.edge_ids:
+            u, v = g.ends(e)
+            if u != v:
+                old = simple.get_edge_data(u, v, {"capacity": 0})["capacity"]
+                simple.add_edge(u, v, capacity=old + 1)
+        reference = nx.gomory_hu_tree(simple)
+        lam = g._flow_tree()
+        for u, v in itertools.combinations(g.vertices, 2):
+            path = nx.shortest_path(reference, u, v)
+            expected = min(reference[a][b]["weight"] for a, b in zip(path, path[1:]))
+            assert tree_path_min(lam, u, v) == expected, (g, u, v)
+
+
+@given(small_multigraphs())
+def test_flow_tree_on_small_multigraphs(g):
+    # loops, parallel edges and several components
+    lam = g._flow_tree()
+    for u, v in itertools.combinations(g.vertices, 2):
+        assert tree_path_min(lam, u, v) == g.local_edge_connectivity(u, v)
 
 
 # -- contraction -------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orientcover.corpus import named_graph
+from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import (
     NotEulerianError,
     NotStronglyConnectedError,
@@ -26,7 +27,7 @@ from orientcover.orientation import (
     well_balanced_orientation,
 )
 
-from oracles import brute_deletable_arcs, closure_strongly_connected
+from oracles import brute_deletable_arcs, closure_strongly_connected, random_cubic_3ec_pairs
 
 
 def circuit(n):
@@ -315,6 +316,40 @@ def test_directed_local_connectivity_counts_paths():
     d = Orientation(g, {0: 0, 1: 0, 2: 1})
     assert directed_local_connectivity(d, 0, 1) == 2
     assert directed_local_connectivity(d, 1, 0) == 1
+
+
+# -- tree-pair balance checks ------------------------------------
+
+
+def random_cubic_graphs():
+    """Seeded 3-edge-connected cubic graphs on 8-12 vertices, with and without a triangle."""
+    rng = random.Random(19900101)
+    return [Multigraph.from_pairs(random_cubic_3ec_pairs(rng, n, tri))
+            for n in (8, 10, 12) for tri in (True, False)]
+
+
+def lambda_graphs():
+    return [named_graph(name) for name in corpus_names()] + random_cubic_graphs()
+
+
+def well_balanced_all_pairs(g, d):
+    """The definition: every ordered pair gets floor(lambda/2) arc-disjoint paths."""
+    return all(directed_local_connectivity(d, u, v) >= g.local_edge_connectivity(u, v) // 2
+               for u, v in itertools.permutations(g.vertices, 2))
+
+
+def test_tree_pair_balance_check_matches_all_pairs():
+    rng = random.Random(7)
+    verdicts = []
+    for g in lambda_graphs():
+        candidates = [well_balanced_orientation(g)]
+        candidates += [orientation_by_bits(g, [rng.randrange(2) for _ in g.edge_ids])
+                       for _ in range(6)]
+        for d in candidates:
+            verdict = is_well_balanced(g, d)
+            assert verdict == well_balanced_all_pairs(g, d), g
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 # -- serialization -----------------------------------------------------------------------
