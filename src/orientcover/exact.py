@@ -4,9 +4,12 @@ One depth-first search over edge directions serves both solvers.  It walks
 the orientations up to global reversal, with the first edge's direction
 pinned since deletable sets are reversal-invariant, and cuts a branch as soon
 as a vertex with all of its edges directed is a source, a sink, or is cut off
-by deleting one arc of the requested set.  Every answer ships a witness that
-is re-verified by direct deletion checks; budget exhaustion is a distinct
-outcome, never conflated with "no".
+by deleting one arc of the requested set.  A vertex left with one undirected
+edge forces that edge's direction when only one direction can pass the same
+test, and cuts the branch when neither can; this removes only dead subtrees,
+so every leaf is reached in the same order as without it.  Every answer
+ships a witness that is re-verified by direct deletion checks; budget
+exhaustion is a distinct outcome, never conflated with "no".
 """
 
 from __future__ import annotations
@@ -193,19 +196,40 @@ def _search(
     """Depth-first search over edge directions, taken in `order`.
 
     Bit i of an orientation mask reverses edge i; the first edge of `order`
-    keeps its natural direction.  A branch is cut when a vertex whose edges
-    are all directed has no in-arc or no out-arc, or a single in-arc (or
-    out-arc) that lies in the bitmask `sbit`.  Each strongly connected leaf
-    is handed to `leaf(mask, arcs)`, and the search stops at the first leaf
-    it accepts.  Returns (status, accepted mask or 0, nodes visited); a
-    search that needs more than `budget` nodes ends INDETERMINATE.
+    keeps its natural direction.  A vertex whose edges are all directed is
+    ok when it has an in-arc and an out-arc, and neither its only in-arc nor
+    its only out-arc lies in the bitmask `sbit`; a branch is cut as soon as
+    a finished vertex is not ok.
+
+    Directions also propagate.  After each edge is directed, an end x of it
+    with exactly one undirected edge left has both directions of that edge
+    tested by the same rule (at x, and at the edge's other end if that end
+    is then finished).  If neither passes, the branch is cut; if one passes,
+    the edge takes it at once, ahead of `order`, and the rule is applied
+    again at its other end.  Later the search takes such a forced edge
+    without branching.  Only subtrees without a leaf whose vertices are all
+    ok are cut, so the leaves are visited in the same order as without
+    propagation.
+
+    Each strongly connected leaf is handed to `leaf(mask, arcs)`, and the
+    search stops at the first leaf it accepts.  A node is one call of the
+    recursive step: it branches on the next unforced edge of `order`, or
+    evaluates a leaf; forced edges cost no node.  Returns (status, accepted
+    mask or 0, nodes visited); a search that needs more than `budget` nodes
+    ends INDETERMINATE.
     """
     n, m, us, vs = kern.n, kern.m, kern.u, kern.v
     limit = float("inf") if budget is None else budget
     undecided = [0] * n
+    incident: List[List[int]] = [[] for _ in range(n)]
     for i in range(m):
         undecided[us[i]] += 1
         undecided[vs[i]] += 1
+        incident[us[i]].append(i)
+        incident[vs[i]].append(i)
+    free_of = [0 if (sbit >> i) & 1 else 1 for i in range(m)]
+    direction = [-1] * m  # bit of each directed edge, -1 while undirected
+    trail: List[int] = []  # edges directed by propagation, in order
     in_count = [0] * n
     out_count = [0] * n
     in_free = [0] * n  # arcs entering that are outside sbit
@@ -214,12 +238,51 @@ def _search(
     found = 0
 
     def vertex_ok(x: int) -> bool:
-        if in_count[x] == 0 or out_count[x] == 0:
-            return False
-        if in_free[x] == 0 and in_count[x] < 2:
-            return False
-        if out_free[x] == 0 and out_count[x] < 2:
-            return False
+        return (in_free[x] or in_count[x] > 1) and (out_free[x] or out_count[x] > 1)
+
+    def ok_with_last(x: int, into: bool, free: int) -> bool:
+        """vertex_ok(x) once its one undirected edge is directed into (or out of) x."""
+        if into:
+            return (in_free[x] or free or in_count[x]) and (out_free[x] or out_count[x] > 1)
+        return (in_free[x] or in_count[x] > 1) and (out_free[x] or free or out_count[x])
+
+    def shift(i: int, bit: int, step: int) -> Tuple[int, int]:
+        """Direct edge i by bit (step 1) or undo that (step -1); returns (tail, head)."""
+        t, h = (vs[i], us[i]) if bit else (us[i], vs[i])
+        free = free_of[i] * step
+        out_count[t] += step
+        in_count[h] += step
+        out_free[t] += free
+        in_free[h] += free
+        undecided[t] -= step
+        undecided[h] -= step
+        direction[i] = bit if step > 0 else -1
+        return t, h
+
+    def propagate(stack: List[int]) -> bool:
+        """Force the last undirected edges at the vertices on the stack.
+
+        Each forced edge goes on `trail`; False at a dead end.
+        """
+        while stack:
+            x = stack.pop()
+            if undecided[x] != 1:
+                continue
+            for j in incident[x]:
+                if direction[j] < 0:
+                    break
+            y = vs[j] if us[j] == x else us[j]
+            free = free_of[j]
+            y_last = undecided[y] == 1
+            out_ok = ok_with_last(x, False, free) and (not y_last or ok_with_last(y, True, free))
+            in_ok = ok_with_last(x, True, free) and (not y_last or ok_with_last(y, False, free))
+            if out_ok and in_ok:
+                continue
+            if not (out_ok or in_ok):
+                return False
+            shift(j, 0 if (us[j] == x) == bool(out_ok) else 1, 1)
+            trail.append(j)
+            stack.append(y)
         return True
 
     def rec(pos: int, mask: int) -> bool:
@@ -227,6 +290,9 @@ def _search(
         nodes += 1
         if nodes > limit:
             return False
+        while pos < m and direction[order[pos]] >= 0:  # forced ahead of order
+            mask |= direction[order[pos]] << order[pos]
+            pos += 1
         if pos == m:
             arcs = kern.arcs_of(mask)
             if kern.strongly_connected(arcs) and leaf(mask, arcs):
@@ -234,24 +300,17 @@ def _search(
                 return True
             return False
         i = order[pos]
-        free = 0 if (sbit >> i) & 1 else 1
         for bit in ((0,) if pos == 0 else (0, 1)):
-            t, h = (vs[i], us[i]) if bit else (us[i], vs[i])
-            out_count[t] += 1
-            in_count[h] += 1
-            out_free[t] += free
-            in_free[h] += free
-            undecided[t] -= 1
-            undecided[h] -= 1
+            t, h = shift(i, bit, 1)
+            mark = len(trail)
             good = (undecided[t] > 0 or vertex_ok(t)) and (undecided[h] > 0 or vertex_ok(h))
-            if good and rec(pos + 1, mask | bit << i):
-                return True
-            out_count[t] -= 1
-            in_count[h] -= 1
-            out_free[t] -= free
-            in_free[h] -= free
-            undecided[t] += 1
-            undecided[h] += 1
+            if good and (undecided[t] != 1 and undecided[h] != 1 or propagate([t, h])):
+                if rec(pos + 1, mask | bit << i):
+                    return True
+            while len(trail) > mark:
+                j = trail.pop()
+                shift(j, direction[j], -1)
+            shift(i, bit, -1)
             if nodes > limit:
                 return False
         return False
@@ -372,10 +431,19 @@ def frank_number_exact(
     universe = (1 << kern.m) - 1
     # prune dominated deletable sets, keeping the lexicographically least mask per set
     items = sorted(profiles.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
+    # holders[j] has bit k set when maximal[k] contains edge j, so a set is
+    # dominated exactly when the AND of its edges' holders is nonzero
     maximal: List[Tuple[int, int]] = []
+    holders = [0] * kern.m
     for dmask, omask in items:
-        if any(dmask | other == other for other, _ in maximal):
+        members = [j for j in range(kern.m) if (dmask >> j) & 1]
+        common = (1 << len(maximal)) - 1
+        for j in members:
+            common &= holders[j]
+        if common:
             continue
+        for j in members:
+            holders[j] |= 1 << len(maximal)
         maximal.append((dmask, omask))
     cover_idx = _min_cover(universe, [dm for dm, _ in maximal])
     chosen = [maximal[i] for i in cover_idx]
@@ -396,6 +464,39 @@ def frank_number_exact(
         raise InternalVerificationError(
             f"internal certificate failed verification on {sorted(bad)}")
     return len(orientations), cert
+
+
+def _edge_lambdas(g: Multigraph, edges: Sequence[int]) -> List[int]:
+    """Local edge connectivity between the ends of each (non-loop) edge.
+
+    Read off the flow-equivalent tree of Multigraph._flow_tree as the
+    minimum weight on the tree path between the two ends: n - 1 flows in
+    all instead of one per edge.
+    """
+    tree: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.vertices}
+    for (a, b), w in g._flow_tree().items():
+        tree[a].append((b, w))
+        tree[b].append((a, w))
+    bottleneck: Dict[int, Dict[int, int]] = {}
+
+    def from_root(root: int) -> Dict[int, int]:
+        low = {root: float("inf")}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, w in tree[x]:
+                if y not in low:
+                    low[y] = min(low[x], w)
+                    stack.append(y)
+        return low
+
+    out = []
+    for e in edges:
+        u, v = g.ends(e)
+        if u not in bottleneck:
+            bottleneck[u] = from_root(u)
+        out.append(bottleneck[u][v])
+    return out
 
 
 def deletability_decide(
@@ -419,7 +520,7 @@ def deletability_decide(
     for i in s_idx:
         sbit |= 1 << i
     # edges on small cuts first: they carry the tightest constraints
-    lam_key = [g.local_edge_connectivity(*g.ends(e)) for e in kern.edges]
+    lam_key = _edge_lambdas(g, kern.edges)
     order = sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
     budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
 

@@ -198,9 +198,9 @@ def test_criterion_9_gadget_semantics():
             assert orientation_to_assignment(inst, d) == a
         result = deletability_decide(inst.graph, inst.s,
                                      SolveLimits(node_budget=500_000))
-        assert result.status in (Status.FOUND, Status.INDETERMINATE)
-        if result.status is Status.FOUND:
-            assert is_feasible(f, orientation_to_assignment(inst, result.orientation))
+        assert result.status is Status.FOUND
+        assert is_deletable_set(result.orientation, inst.s)
+        assert is_feasible(f, orientation_to_assignment(inst, result.orientation))
 
 
 # -- criterion 10: the oracle-equivalence sweep ------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,12 @@ from orientcover.orientation import (
     is_k_arc_connected,
 )
 
-from oracles import brute_deletability, brute_deletable_profiles, brute_frank_number
+from oracles import (
+    brute_deletability,
+    brute_deletable_profiles,
+    brute_frank_number,
+    closure_strongly_connected,
+)
 
 
 def as_edges(g):
@@ -173,6 +179,78 @@ def test_decide_agrees_with_enumeration_small():
                 assert result.status is (Status.FOUND if expected else Status.NO), (name, s)
                 if result.status is Status.FOUND:
                     assert is_deletable_set(result.orientation, s)
+
+
+def test_decide_matches_brute_force_on_seeded_sets():
+    rng = random.Random(5077)
+    budgeted = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
+    graphs = [named_graph(name) for name in corpus_names()]
+    graphs += [random_cubic_3ec(rng, n) for n in (6, 6, 8, 8, 10)]
+    decided = {Status.FOUND: 0, Status.NO: 0}
+    for g in graphs:
+        if g.num_edges > 15 or not g.is_connected():
+            continue
+        edges = list(g.edge_ids)
+        for size in (1, 2, 3, len(edges) // 3, len(edges) // 2):
+            s = rng.sample(edges, size)
+            expected = brute_deletability(g.vertices, as_edges(g), set(s)) is not None
+            for limits in (SolveLimits(), budgeted):
+                result = deletability_decide(g, s, limits)
+                assert result.status is (Status.FOUND if expected else Status.NO), (g, s, limits)
+                if result.status is Status.FOUND:
+                    assert is_deletable_set(result.orientation, s)
+            decided[result.status] += 1
+    assert decided[Status.FOUND] >= 20 and decided[Status.NO] >= 10, decided
+
+
+def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
+    # propagation may only cut subtrees without an acceptable leaf: the leaves
+    # handed on are every strong orientation whose vertices all pass the
+    # finished-vertex rule, in depth-first order over `order`
+    rng = random.Random(3301)
+    graphs = [named_graph(name) for name in ("k4", "theta", "prism3", "k33", "wheel4", "cube")]
+    graphs += [random_cubic_3ec(rng, 8) for _ in range(2)]
+    leaves = 0
+    for g in graphs:
+        kern = exact._Kernel(g)
+        for _ in range(3):
+            order = rng.sample(range(kern.m), kern.m)
+            sbit = sum(1 << i for i in rng.sample(range(kern.m), rng.randint(0, kern.m // 2)))
+            reached = []
+            exact._search(kern, order, sbit, None, lambda mask, arcs: reached.append(mask))
+            expected = []
+            for bits in itertools.product((0, 1), repeat=kern.m - 1):
+                mask = sum(b << i for b, i in zip(bits, order[1:]))
+                arcs = kern.arcs_of(mask)
+                ins = [[] for _ in range(kern.n)]
+                outs = [[] for _ in range(kern.n)]
+                for i, (t, h) in enumerate(arcs):
+                    outs[t].append(i)
+                    ins[h].append(i)
+                ok = all(len(side) > 1 or (side and not (sbit >> side[0]) & 1)
+                         for x in range(kern.n) for side in (ins[x], outs[x]))
+                if ok and closure_strongly_connected(kern.n, arcs):
+                    expected.append(mask)
+            assert reached == expected, (g, order, sbit)
+            leaves += len(reached)
+    assert leaves >= 100, leaves
+
+
+def test_edge_lambdas_match_local_edge_connectivity():
+    rng = random.Random(811)
+    graphs = [named_graph(name) for name in corpus_names()]
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 14))]
+        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
+    loops = parallels = 0
+    for g in graphs:
+        edges = [e for e in g.edge_ids if not g.is_loop(e)]
+        expected = [g.local_edge_connectivity(*g.ends(e)) for e in edges]
+        assert exact._edge_lambdas(g, edges) == expected, g
+        loops += any(g.is_loop(e) for e in g.edge_ids)
+        parallels += len({g.ends(e) for e in edges}) < len(edges)
+    assert loops >= 5 and parallels >= 5
 
 
 def test_decide_budget_indeterminate_distinct_from_no():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from orientcover.reduction import (
     build_gadget,
     decompose_connected,
     fano_formula,
+    is_connected_formula,
     is_feasible,
     nae_solve_bruteforce,
     orientation_to_assignment,
@@ -234,12 +236,46 @@ def test_backward_map_rejects_non_certifying():
 
 
 def test_backward_map_from_solver_witness():
-    # the backtracking solver may or may not finish on the 45-edge gadget;
-    # a FOUND answer must map back to a feasible assignment
+    # the budgeted search finds a certifying orientation of the 45-edge
+    # gadget, and it maps back to a feasible assignment
     inst = build_gadget(EXAMPLE)
     result = deletability_decide(
         inst.graph, inst.s, SolveLimits(max_enumerable_edges=22, node_budget=400_000))
-    assert result.status in (Status.FOUND, Status.INDETERMINATE)
-    if result.status is Status.FOUND:
-        a = orientation_to_assignment(inst, result.orientation)
-        assert is_feasible(EXAMPLE, a)
+    assert result.status is Status.FOUND
+    assert is_deletable_set(result.orientation, inst.s)
+    a = orientation_to_assignment(inst, result.orientation)
+    assert is_feasible(EXAMPLE, a)
+
+
+def random_feasible_formula(rng, num_clauses):
+    """Seeded connected, preprocessed, feasible formula with distinct clauses."""
+    while True:
+        num_vars = rng.randint(4, 3 * num_clauses // 2)
+        clauses = {frozenset(rng.sample(range(1, num_vars + 1), 3)) for _ in range(num_clauses)}
+        if len(clauses) < num_clauses:
+            continue
+        f = NaeFormula(num_vars, tuple(sorted(clauses, key=sorted)))
+        if preprocess(f) == f and is_connected_formula(f) and nae_solve_bruteforce(f) is not None:
+            return f
+
+
+def test_solver_decides_seeded_feasible_gadgets_within_1000_nodes():
+    rng = random.Random(4031)
+    for num_clauses in (3, 4, 5, 6):
+        for _ in range(3):
+            f = random_feasible_formula(rng, num_clauses)
+            inst = build_gadget(f)
+            result = deletability_decide(inst.graph, inst.s, SolveLimits(node_budget=1_000))
+            assert result.status is Status.FOUND, (f, result.nodes)
+            assert result.nodes <= 1_000
+            assert is_deletable_set(result.orientation, inst.s)
+            assert is_feasible(f, orientation_to_assignment(inst, result.orientation))
+
+
+def test_solver_refutes_fano_gadget():
+    # the Fano formula is infeasible, so no orientation certifies its gadget
+    f = preprocess(fano_formula())
+    inst = build_gadget(f)
+    assert nae_solve_bruteforce(f) is None
+    result = deletability_decide(inst.graph, inst.s, SolveLimits(node_budget=10_000))
+    assert result.status is Status.NO
