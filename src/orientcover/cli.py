@@ -150,8 +150,10 @@ def _cmd_deletable(args) -> int:
         _emit(payload, args, f"deletable: yes (witness verified, {result.nodes} nodes)")
         return 0
     if result.status is Status.NO:
-        _emit({"deletable": False, "set": sorted(set(edge_ids))}, args,
-              f"deletable: no ({result.nodes} nodes)")
+        # a NO in 0 nodes comes from the degree check before the search
+        why = (f"{result.nodes} nodes" if result.nodes
+               else "0 nodes: a vertex has fewer than 4 edges, all in the set")
+        _emit({"deletable": False, "set": sorted(set(edge_ids))}, args, f"deletable: no ({why})")
         return 0
     print(f"indeterminate: budget exhausted after {result.nodes} nodes", file=sys.stderr)
     return 2

@@ -507,6 +507,10 @@ def deletability_decide(
     The search has no node budget up to the edge limit and stops after
     `limits.node_budget` nodes above it; a budget exhaustion is reported as
     INDETERMINATE.  Any FOUND answer carries a verified witness.
+
+    Before the search, a vertex whose non-loop edges all lie in s and number
+    fewer than four answers NO in 0 nodes: deleting any one of its arcs must
+    leave it an in-arc and an out-arc, so it needs two of each.
     """
     sset = frozenset(s)
     for e in sset:
@@ -514,6 +518,11 @@ def deletability_decide(
             raise PreconditionError(f"unknown edge {e} in the requested set")
     if not g.is_connected():
         raise PreconditionError("deletability needs a connected graph")
+    if g.num_vertices >= 2:
+        for v in g.vertices:
+            arcs = [e for e in g.incident_edges(v) if not g.is_loop(e)]
+            if len(arcs) < 4 and sset.issuperset(arcs):
+                return DecideResult(Status.NO)
     kern = _Kernel(g)
     s_idx = [kern.eindex[e] for e in sset if not g.is_loop(e)]
     sbit = 0

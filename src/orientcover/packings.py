@@ -26,8 +26,8 @@ from .structures import (
     odd_degree_vertices,
     partition_into_three_tjoins,
     perfect_matching,
-    special_set,
     t_join,
+    _special_set,
 )
 
 
@@ -65,7 +65,7 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
     """Verify properties (a) and (b) and bundle the result."""
     if len(packings) != 7:
         raise InternalVerificationError(f"expected 7 packings, got {len(packings)}")
-    specials = tuple(special_set(g, p) for p in packings)
+    specials = tuple(_special_set(g, p) for p in packings)
     membership: Dict[int, Tuple[int, ...]] = {}
     witness: Dict[int, int] = {}
     for e in g.edge_ids:
@@ -82,8 +82,19 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
 
 
 def seven_cycle_packings(g: Multigraph) -> SevenPackings:
-    """Seven cycle packings with every edge special somewhere and in exactly 4."""
+    """Seven cycle packings with every edge special somewhere and in exactly 4.
+
+    Checks that g is cubic and 3-edge-connected (PreconditionError
+    otherwise); the upper7 pipeline checks its input once at entry and
+    builds the packings directly.  The quotients of the recursive case are
+    new graphs and are checked again.
+    """
     _check_cubic_3ec(g)
+    return _seven_cycle_packings(g)
+
+
+def _seven_cycle_packings(g: Multigraph) -> SevenPackings:
+    """seven_cycle_packings on a graph already known to be cubic and 3-edge-connected."""
     cut = g.find_nontrivial_3cut()
     if cut is None:
         return _assemble(g, _base_case(g))

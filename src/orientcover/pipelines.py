@@ -5,6 +5,11 @@ resulting certificate by direct deletion checks, and refuses to return
 anything unverified.  Non-cubic inputs are handled by splitting at cut
 vertices or single connecting edges and by cubic extensions contracted back
 after the cubic construction runs on the host.
+
+Each pipeline checks its input's precondition once, at entry; its inner
+steps then run the private cores of the public constructions, which skip
+the re-check on the same graph.  Graphs built along the way (quotients,
+split sides, cubic extensions) are new inputs and are checked again.
 """
 
 from __future__ import annotations
@@ -32,19 +37,21 @@ from .orientation import (
     well_balanced_orientation,
     _augment_with_pairing,
 )
-from .packings import seven_cycle_packings
+from .packings import _seven_cycle_packings
 from .structures import (
     CyclePacking,
     EMPTY_PACKING,
     cycles_from_edge_set,
-    find_deletable_arc_on_circuit,
     is_circuit_in,
     is_matching,
     orient_cycle_as_circuit,
     paths_to_two_matchings,
     perfect_matching,
     proper_3_edge_coloring,
-    berge_fulkerson_cover,
+    special_set,
+    _berge_fulkerson_cover,
+    _deletable_arc_on_circuit,
+    _special_set,
 )
 
 
@@ -105,11 +112,16 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking,
     circuit orientations; edges that became quotient loops take the canonical
     direction.  Deletability of the whole special set is verified before the
     orientation is returned; a failure here would contradict the construction
-    and is treated as fatal.
+    and is treated as fatal.  Checks that g is 3-edge-connected
+    (PreconditionError otherwise); the pipelines check once at entry.
     """
     _require_3ec(g)
-    from .structures import special_set
+    return _orient_special_set_deletable(g, p, special_set(g, p), pairing_budget)
 
+
+def _orient_special_set_deletable(g: Multigraph, p: CyclePacking, special: FrozenSet[int],
+                                  pairing_budget: int = 4096) -> Orientation:
+    """orient_special_set_deletable on a checked graph, given p's special set."""
     cr = g.contract(p.edge_ids)
     q = cr.graph
     tails: Dict[int, int] = {}
@@ -124,7 +136,6 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking,
         else:
             tails[e] = lift_tail(cr, g, e, dq.tail(e))
     d = Orientation(g, tails)
-    special = special_set(g, p)
     if not is_deletable_set(d, special):
         raise InternalVerificationError("special set is not deletable in the lifted orientation")
     for c in p.cycles:
@@ -144,7 +155,9 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
     for an odd-vertex pairing whose constrained Eulerian orientation restricts
     to a well-balanced orientation of the quotient, orient each piece strongly
     connected with the packing cycles as circuits, and combine.  The result is
-    verified; failing candidates trigger the next pairing.
+    verified; failing candidates trigger the next pairing.  Checks that g is
+    essentially 4-edge-connected, that m is a matching and that p avoids it
+    (PreconditionError otherwise); the esse4 pipeline checks g once at entry.
     """
     if not g.is_essentially_4ec():
         raise PreconditionError("not essentially 4-edge-connected")
@@ -152,6 +165,12 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
         raise PreconditionError("the given edge set is not a matching")
     if m & p.edge_ids:
         raise PreconditionError("packing cycles must avoid the matching")
+    return _orient_matching_deletable(g, m, p, pairing_budget)
+
+
+def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
+                               pairing_budget: int = 2048) -> Orientation:
+    """orient_matching_deletable on a checked graph, matching and packing."""
     rest = g.delete_edges(m)
     blocks = [b for b in rest.maximal_2ec_subgraphs()]
     contract_set = set()
@@ -310,11 +329,15 @@ def _fallback_matching_orientation(g: Multigraph, m: FrozenSet[int], p: CyclePac
 
 
 def certify_upper7(g: Multigraph) -> PipelineReport:
-    """At most seven verified orientations covering every edge as deletable."""
+    """At most seven verified orientations covering every edge as deletable.
+
+    Checks once that g is 3-edge-connected (PreconditionError otherwise).
+    """
     _require_3ec(g)
     if _is_cubic(g):
-        sp = seven_cycle_packings(g)
-        orientations = [orient_special_set_deletable(g, p) for p in sp.packings]
+        sp = _seven_cycle_packings(g)
+        orientations = [_orient_special_set_deletable(g, p, special)
+                        for p, special in zip(sp.packings, sp.special_sets)]
         cover = dict(sp.witness)
         prov = tuple(f"special-set-packing-{k}" for k in range(7))
         return _finish("seven", g, ("3-edge-connected", "cubic"), orientations, cover, prov, 7)
@@ -396,7 +419,12 @@ def _extension_wrapper(g: Multigraph, recurse, name: str, bound: int,
 
 
 def certify_color3(g: Multigraph) -> PipelineReport:
-    """Three orientations, one per color class of a proper 3-edge-coloring."""
+    """Three orientations, one per color class of a proper 3-edge-coloring.
+
+    Checks once that g is 3-edge-connected and cubic (PreconditionError
+    otherwise); a cubic graph without a 3-edge-coloring raises
+    NotThreeEdgeColorableError.
+    """
     _require_3ec(g)
     if not _is_cubic(g):
         raise PreconditionError("not cubic; 3-edge-colorable inputs are cubic")
@@ -407,7 +435,7 @@ def certify_color3(g: Multigraph) -> PipelineReport:
     cover: Dict[int, int] = {}
     for k, mk in enumerate(coloring):
         packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        orientations.append(orient_special_set_deletable(g, packing))
+        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
         for e in mk:
             cover[e] = k
     prov = tuple(f"color-class-{k}" for k in range(3))
@@ -423,14 +451,15 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
 
     Every 3-edge-cut meets each matching of a double cover exactly once, so
     each matching is deletable via its complementary cycle packing; any five
-    of the six matchings already cover every edge.
+    of the six matchings already cover every edge.  Checks once that g is
+    3-edge-connected and cubic (PreconditionError otherwise).
     """
     _require_3ec(g)
     if not _is_cubic(g):
         raise PreconditionError("not cubic")
     if node_budget <= 0:
         raise SearchExhaustedError("double-cover search budget exhausted")
-    found = berge_fulkerson_cover(g, node_budget)
+    found = _berge_fulkerson_cover(g, node_budget)
     if found.status == "indeterminate":
         raise SearchExhaustedError("double-cover search budget exhausted")
     if found.status == "no":
@@ -440,7 +469,7 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
     cover: Dict[int, int] = {}
     for k, mk in enumerate(matchings):
         packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        orientations.append(orient_special_set_deletable(g, packing))
+        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
         for e in mk:
             cover.setdefault(e, k)
     prov = tuple(f"double-cover-matching-{k}" for k in range(len(matchings)))
@@ -452,7 +481,11 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
 
 
 def certify_esse4(g: Multigraph) -> PipelineReport:
-    """Three verified orientations for essentially 4-edge-connected graphs."""
+    """Three verified orientations for essentially 4-edge-connected graphs.
+
+    Checks once that g is essentially 4-edge-connected (PreconditionError
+    otherwise).
+    """
     if not g.is_essentially_4ec():
         raise PreconditionError("not essentially 4-edge-connected")
     if _is_cubic(g):
@@ -475,14 +508,14 @@ def _esse4_cubic(g: Multigraph) -> PipelineReport:
     if m1 is None:  # pragma: no cover - guaranteed for cubic 2ec graphs
         raise InternalVerificationError("cubic 2-edge-connected graph without perfect matching")
     packing = cycles_from_edge_set(g, set(g.edge_ids) - m1)
-    d1 = orient_matching_deletable(g, m1, packing)
+    d1 = _orient_matching_deletable(g, m1, packing)
     chosen: List[int] = []
     for c in packing.cycles:
-        chosen.append(find_deletable_arc_on_circuit(d1, c))
+        chosen.append(_deletable_arc_on_circuit(d1, c))
     path_edges = set(g.edge_ids) - m1 - set(chosen)
     m2, m3 = paths_to_two_matchings(g, path_edges)
-    d2 = orient_matching_deletable(g, m2, EMPTY_PACKING)
-    d3 = orient_matching_deletable(g, m3, EMPTY_PACKING)
+    d2 = _orient_matching_deletable(g, m2, EMPTY_PACKING)
+    d3 = _orient_matching_deletable(g, m3, EMPTY_PACKING)
     cover: Dict[int, int] = {}
     for e in m1:
         cover[e] = 0

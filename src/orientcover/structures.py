@@ -278,13 +278,20 @@ def berge_fulkerson_cover(g: Multigraph, node_budget: int = 200_000) -> CoverSea
 
     Exact multi-cover search over the enumerated perfect matchings with a
     node budget; running out of budget is reported as indeterminate, never
-    as a 'no'.
+    as a 'no'.  Checks that g is cubic and 2-edge-connected (PreconditionError
+    otherwise); the bf5 pipeline checks its input once at entry and runs the
+    search directly.
     """
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
     if g.num_vertices >= 2 and g.edge_connectivity() < 2:
         raise PreconditionError("double-cover search needs a 2-edge-connected graph")
+    return _berge_fulkerson_cover(g, node_budget)
+
+
+def _berge_fulkerson_cover(g: Multigraph, node_budget: int) -> CoverSearchResult:
+    """The double-cover search of berge_fulkerson_cover on an already checked graph."""
     matchings = enumerate_perfect_matchings(g)
     if not matchings:
         return CoverSearchResult("no")
@@ -529,10 +536,17 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
 
     An edge whose ends fall into one contracted class is a quotient loop and
     lies on no cut at all; otherwise the test is local connectivity >= 4
-    between the images of its ends.
+    between the images of its ends.  Checks that g is 3-edge-connected
+    (PreconditionError otherwise); the pipelines and seven_cycle_packings
+    check once at entry and compute special sets directly.
     """
     if g.num_vertices >= 2 and g.edge_connectivity() < 3:
         raise PreconditionError("special sets are defined over 3-edge-connected graphs")
+    return _special_set(g, p)
+
+
+def _special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
+    """special_set on a graph already known to be 3-edge-connected."""
     cr = g.contract(p.edge_ids)
     q = cr.graph
     out = []
@@ -659,7 +673,11 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
     Follows the constructive argument: pick an outside edge touching the
     circuit, close it into a circuit through part of c, contract, and recurse
     on the surviving part of c; the recursion bottoms out when c collapses to
-    a loop.  The result is verified before being returned.
+    a loop.  The result is verified before being returned.  Checks that d is
+    strongly connected, that its graph is 3-edge-connected and that c is a
+    circuit of d (NotStronglyConnectedError or PreconditionError otherwise);
+    the esse4 pipeline checks its input once at entry and runs the search
+    directly.
     """
     g = d.graph
     if not is_strongly_connected(d):
@@ -668,6 +686,11 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
         raise PreconditionError("circuit-arc search needs a 3-edge-connected host")
     if not is_circuit_in(d, c):
         raise PreconditionError("the given cycle is not a circuit of the orientation")
+    return _deletable_arc_on_circuit(d, c)
+
+
+def _deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
+    """find_deletable_arc_on_circuit for a circuit c of a checked orientation d."""
     e = _recurse_circuit_arc(d, _aligned_cycle(d, c))
     if not _reaches_without(d, e, d.tail(e), d.head(e)):  # pragma: no cover - proof guarantee
         raise InternalVerificationError("selected circuit arc is not deletable")

@@ -66,6 +66,8 @@ def test_deletable_yes_and_no(capsys):
     assert code == 0 and "deletable: yes" in out
     code, out, _ = run(capsys, "deletable", "--set", "6,7,8", "corpus:prism3")
     assert code == 0 and "deletable: no" in out
+    code, out, _ = run(capsys, "deletable", "--set", "0,2,6", "corpus:prism3")
+    assert code == 0 and "deletable: no (0 nodes: a vertex has fewer than 4 edges" in out
 
 
 def test_deletable_indeterminate_exit_code(capsys):

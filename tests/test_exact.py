@@ -166,6 +166,22 @@ def test_decide_three_cut_obstruction():
     assert deletability_decide(g, [6, 7, 8]).status is Status.NO
 
 
+def test_decide_root_check_refutes_a_saturated_low_degree_vertex():
+    # every edge at a degree-3 vertex lies in s: NO before the search starts
+    g = named_graph("prism3")
+    s = set(g.incident_edges(0))
+    assert brute_deletability(g.vertices, as_edges(g), s) is None
+    result = deletability_decide(g, s, SolveLimits(max_enumerable_edges=3, node_budget=1))
+    assert result.status is Status.NO and result.nodes == 0
+    # a degree-4 vertex can keep two in-arcs and two out-arcs: the search decides
+    g = named_graph("k5")
+    s = set(g.incident_edges(0))
+    expected = brute_deletability(g.vertices, as_edges(g), s) is not None
+    result = deletability_decide(g, s)
+    assert result.nodes > 0
+    assert result.status is (Status.FOUND if expected else Status.NO)
+
+
 def test_decide_agrees_with_enumeration_small():
     budgeted = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
     for name in ("k4", "theta", "prism3"):

@@ -55,6 +55,12 @@ def test_orient_special_set_covering_packing():
     assert is_strongly_connected(d)
 
 
+def test_orient_special_set_rejects_low_connectivity():
+    triangle = Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(PreconditionError, match="3-edge-connected"):
+        orient_special_set_deletable(triangle, CyclePacking(()))
+
+
 # -- matching orientations -------------------------------------------------------------
 
 
@@ -240,3 +246,27 @@ def test_pipelines_are_deterministic():
     g = named_graph("petersen")
     assert certify_esse4(g).to_json() == certify_esse4(g).to_json()
     assert certify_upper7(g).to_json() == certify_upper7(g).to_json()
+
+
+# -- one precondition check per pipeline call -----------------------------------------------
+
+
+@pytest.mark.parametrize("pipeline", [certify_upper7, certify_color3, certify_bf5, certify_esse4],
+                         ids=lambda f: f.__name__)
+def test_pipeline_checks_its_input_once(monkeypatch, pipeline):
+    # moebius_kantor is gp(8,3): cubic, 3-edge-colorable, essentially 4-edge-connected
+    g = named_graph("moebius_kantor")
+    calls = {"edge_connectivity": 0, "is_essentially_4ec": 0}
+    for method in calls:
+        original = getattr(Multigraph, method)
+
+        def counted(self, original=original, method=method):
+            if self is g:
+                calls[method] += 1
+            return original(self)
+
+        monkeypatch.setattr(Multigraph, method, counted)
+    pipeline(g)
+    # certify_esse4 checks through is_essentially_4ec, which runs edge_connectivity once
+    expected_esse4 = 1 if pipeline is certify_esse4 else 0
+    assert calls == {"edge_connectivity": 1, "is_essentially_4ec": expected_esse4}

@@ -101,6 +101,13 @@ def test_double_cover_budget_indeterminate():
     assert berge_fulkerson_cover(named_graph("prism3"), node_budget=1).status == "indeterminate"
 
 
+def test_double_cover_rejects_bridged_cubic_graph():
+    # two looped vertices joined by a bridge: cubic, edge connectivity 1
+    g = Multigraph.from_pairs([(0, 0), (0, 1), (1, 1)])
+    with pytest.raises(PreconditionError, match="2-edge-connected"):
+        berge_fulkerson_cover(g)
+
+
 # -- T-joins -----------------------------------------------------------------------
 
 
@@ -252,6 +259,12 @@ def test_special_set_packing_covering_everything():
     assert special_set(g, p) == frozenset()
 
 
+def test_special_set_rejects_low_connectivity():
+    triangle = Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(PreconditionError, match="3-edge-connected"):
+        special_set(triangle, CyclePacking(()))
+
+
 def test_special_set_never_meets_packing_or_small_quotient_cuts():
     g = named_graph("cube")
     m = perfect_matching(g)
@@ -348,6 +361,16 @@ def test_circuit_arc_requires_circuit():
     bad = Cycle((0, 1), (0, 2))  # edges 0 and 2 run the same way: not a circuit
     with pytest.raises(PreconditionError):
         find_deletable_arc_on_circuit(d, bad)
+
+
+def test_circuit_arc_requires_3ec_host():
+    # a directed triangle: strongly connected and a circuit, but only 2-edge-connected
+    triangle = Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)])
+    d = Orientation(triangle, {0: 0, 1: 1, 2: 2})
+    c = cycles_from_edge_set(triangle, [0, 1, 2]).cycles[0]
+    assert is_strongly_connected(d) and is_circuit_in(d, c)
+    with pytest.raises(PreconditionError, match="3-edge-connected"):
+        find_deletable_arc_on_circuit(d, c)
 
 
 def test_circuit_arc_stress_over_sampled_orientations():
