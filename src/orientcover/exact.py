@@ -1,8 +1,9 @@
 """Exact solvers: deletability decisions, exact Frank numbers, certificates.
 
-One depth-first search over edge directions serves both solvers.  It walks
-the orientations up to global reversal, with the first edge's direction
-pinned since deletable sets are reversal-invariant, and cuts a branch as soon
+One depth-first search over edge directions serves both solvers and the
+well-balanced fallback of the orientation module.  It walks the
+orientations up to global reversal, with the first edge's direction pinned
+since deletable sets are reversal-invariant, and cuts a branch as soon
 as a vertex with all of its edges directed is a source, a sink, or is cut off
 by deleting one arc of the requested set.  A vertex left with one undirected
 edge forces that edge's direction when only one direction can pass the same
@@ -466,39 +467,6 @@ def frank_number_exact(
     return len(orientations), cert
 
 
-def _edge_lambdas(g: Multigraph, edges: Sequence[int]) -> List[int]:
-    """Local edge connectivity between the ends of each (non-loop) edge.
-
-    Read off the flow-equivalent tree of Multigraph._flow_tree as the
-    minimum weight on the tree path between the two ends: n - 1 flows in
-    all instead of one per edge.
-    """
-    tree: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.vertices}
-    for (a, b), w in g._flow_tree().items():
-        tree[a].append((b, w))
-        tree[b].append((a, w))
-    bottleneck: Dict[int, Dict[int, int]] = {}
-
-    def from_root(root: int) -> Dict[int, int]:
-        low = {root: float("inf")}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y, w in tree[x]:
-                if y not in low:
-                    low[y] = min(low[x], w)
-                    stack.append(y)
-        return low
-
-    out = []
-    for e in edges:
-        u, v = g.ends(e)
-        if u not in bottleneck:
-            bottleneck[u] = from_root(u)
-        out.append(bottleneck[u][v])
-    return out
-
-
 def deletability_decide(
     g: Multigraph, s: Iterable[int], limits: SolveLimits = DEFAULT_LIMITS
 ) -> DecideResult:
@@ -529,7 +497,7 @@ def deletability_decide(
     for i in s_idx:
         sbit |= 1 << i
     # edges on small cuts first: they carry the tightest constraints
-    lam_key = _edge_lambdas(g, kern.edges)
+    lam_key = g._edge_lambdas(kern.edges)
     order = sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
     budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
 

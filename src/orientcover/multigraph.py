@@ -290,6 +290,38 @@ class Multigraph:
                     parent[v] = s
         return lam
 
+    def _edge_lambdas(self, edges: Sequence[int]) -> List[int]:
+        """Local edge connectivity between the ends of each (non-loop) edge.
+
+        Read off the flow-equivalent tree of _flow_tree as the minimum weight
+        on the tree path between the two ends: n - 1 flows in all instead of
+        one per edge.
+        """
+        tree: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self._vertices}
+        for (a, b), w in self._flow_tree().items():
+            tree[a].append((b, w))
+            tree[b].append((a, w))
+        bottleneck: Dict[int, Dict[int, int]] = {}
+
+        def from_root(root: int) -> Dict[int, int]:
+            low = {root: float("inf")}
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for y, w in tree[x]:
+                    if y not in low:
+                        low[y] = min(low[x], w)
+                        stack.append(y)
+            return low
+
+        out = []
+        for e in edges:
+            u, v = self.ends(e)
+            if u not in bottleneck:
+                bottleneck[u] = from_root(u)
+            out.append(bottleneck[u][v])
+        return out
+
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
 

@@ -351,7 +351,15 @@ def eulerian_orientation_constrained(
                 raise PreconditionError(f"constraint edge {e} is a loop")
             if v not in g.ends(e):
                 raise PreconditionError(f"constraint edge {e} is not incident to vertex {v}")
-    fresh = max(g.vertices, default=-1) + 1
+    d = Orientation(g, _detached_tails(g.vertices, {e: g.ends(e) for e in g.edge_ids}, constraints))
+    _check_constrained_eulerian(d, constraints)
+    return d
+
+
+def _detached_tails(vertices: Sequence[int], edges: Mapping[int, Tuple[int, int]],
+                    constraints: Mapping[int, Tuple[int, int]]) -> Dict[int, int]:
+    """Tails of the non-loop edges for eulerian_orientation_constrained, inputs unchecked."""
+    fresh = max(vertices, default=-1) + 1
     twin = {}
     for v in sorted(constraints):
         twin[v] = fresh
@@ -361,26 +369,17 @@ def eulerian_orientation_constrained(
         for e in (e1, e2):
             moved.setdefault(e, []).append(v)
     aux_edges = {}
-    for e in g.edge_ids:
-        u, v = g.ends(e)
+    for e, (u, v) in edges.items():
         for w in moved.get(e, ()):
             if u == w:
                 u = twin[w]
             elif v == w:
                 v = twin[w]
         aux_edges[e] = (u, v)
-    aux = Multigraph(set(g.vertices) | set(twin.values()), aux_edges)
+    aux = Multigraph(set(vertices) | set(twin.values()), aux_edges)
     aux_tails = eulerian_circuit_arcs(aux)
     back = {t: v for v, t in twin.items()}
-    tails = {}
-    for e in g.edge_ids:
-        if g.is_loop(e):
-            continue
-        t = aux_tails[e]
-        tails[e] = back.get(t, t)
-    d = Orientation(g, tails)
-    _check_constrained_eulerian(d, constraints)
-    return d
+    return {e: back.get(aux_tails[e], aux_tails[e]) for e, (u, v) in edges.items() if u != v}
 
 
 def _check_constrained_eulerian(d: Orientation, constraints: Mapping[int, Tuple[int, int]]) -> None:
@@ -441,51 +440,116 @@ def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int
     return True
 
 
-def _augment_with_pairing(g: Multigraph, pairing: Sequence[Tuple[int, int]]) -> Multigraph:
-    """g plus one new edge per pair, with ids above every existing id."""
-    base = max(g.edge_ids, default=-1) + 1
+_WELL_BALANCED_PAIRINGS = 4096  # pairings tried before the fallbacks
+
+
+def _pairing_orientations(
+    g: Multigraph, constraints: Mapping[int, Tuple[int, int]], limit: int
+) -> Iterator[Orientation]:
+    """Candidate orientations of g from its first `limit` odd-vertex pairings.
+
+    Each pairing, in the order of `pairings`, adds one new edge per pair; the
+    constrained Eulerian orientation of that graph (constraints unchecked)
+    is restricted to g.  An Eulerian g has the empty pairing only.
+    """
     edges = {e: g.ends(e) for e in g.edge_ids}
-    for k, (a, b) in enumerate(pairing):
-        edges[base + k] = (a, b)
-    return Multigraph(g.vertices, edges)
+    base = max(edges, default=-1) + 1
+    nonloop = [e for e in g.edge_ids if not g.is_loop(e)]
+    for pairing in itertools.islice(pairings(_odd_vertices(g)), limit):
+        aug = dict(edges)
+        aug.update((base + k, ab) for k, ab in enumerate(pairing))
+        tails = _detached_tails(g.vertices, aug, constraints)
+        yield Orientation(g, {e: tails[e] for e in nonloop})
 
 
-def well_balanced_orientation(g: Multigraph, pairing_budget: int = 4096) -> Orientation:
+def _robbins_tails(h: Multigraph) -> Dict[int, int]:
+    """DFS orientation: tree arcs downward, all other arcs toward the shallower end.
+
+    Each maximal 2-edge-connected piece of h comes out strongly connected
+    (Robbins 1939); bridges point away from the DFS root.
+    """
+    tails: Dict[int, int] = {}
+    disc: Dict[int, int] = {}
+    counter = 0
+    for root in h.vertices:
+        if root in disc:
+            continue
+        disc[root] = counter
+        counter += 1
+        stack = [(root, iter(h.incident_edges(root)))]
+        while stack:
+            x, it = stack[-1]
+            advanced = False
+            for e in it:
+                if e in tails or h.is_loop(e):
+                    continue
+                y = h.other_end(e, x)
+                if y not in disc:
+                    tails[e] = x
+                    disc[y] = counter
+                    counter += 1
+                    stack.append((y, iter(h.incident_edges(y))))
+                    advanced = True
+                    break
+                tails[e] = x if disc[x] > disc[y] else y
+            if not advanced:
+                stack.pop()
+    return tails
+
+
+def _searched_well_balanced(g: Multigraph) -> Orientation:
+    """A well-balanced orientation from the exhaustive orientation search of exact.
+
+    Each bridge takes its smaller end as tail and each maximal 2-edge-connected
+    piece is searched on its own.  No path can leave a piece through a bridge
+    and come back, so a piece keeps the lambdas and directed connectivities
+    it has in g, and a pair split by a bridge has lambda 1 and needs no path.
+    The search has no budget up to DEFAULT_LIMITS.max_enumerable_edges edges
+    per piece and DEFAULT_LIMITS.node_budget nodes above that.
+    """
+    from .exact import DEFAULT_LIMITS, Status, _Kernel, _search  # exact imports this module
+
+    tails = {e: min(g.ends(e)) for e in g.bridges()}
+    for piece in g.maximal_2ec_subgraphs():
+        h = Multigraph(piece, {e: g.ends(e) for e in g.induced_edge_ids(piece)})
+        kern = _Kernel(h)
+        lam = h._flow_tree()
+        budget = None if kern.m <= DEFAULT_LIMITS.max_enumerable_edges else DEFAULT_LIMITS.node_budget
+        status, mask, _ = _search(
+            kern, range(kern.m), 0, budget,
+            lambda mask, arcs: is_well_balanced(h, kern.orientation_of(mask), lam))
+        if status is Status.INDETERMINATE:
+            raise SearchExhaustedError("well-balanced orientation search ran out of nodes")
+        if status is Status.NO:  # pragma: no cover - Nash-Williams' theorem
+            raise InternalVerificationError("a 2-edge-connected piece has no well-balanced orientation")
+        tails.update(kern.orientation_of(mask).tails)
+    return Orientation(g, tails)
+
+
+def well_balanced_orientation(g: Multigraph) -> Orientation:
     """An orientation giving each ordered pair floor(lambda/2) directed paths.
 
-    Eulerian graphs take any Eulerian orientation.  Otherwise odd-vertex
-    pairings are enumerated; each pairing's canonical Eulerian orientation of
-    the augmented graph is restricted to g and checked.  Existence is
-    guaranteed, so the search only fails if the budget is exhausted, in which
-    case small graphs fall back to exhaustive orientation search.
+    Three steps, the first that applies wins.  (1) Odd-vertex pairings are
+    tried in order (an Eulerian graph has only the empty one): each
+    pairing's Eulerian orientation of the augmented graph is restricted to
+    g and checked.  (2) When no pairing within the limit passes and every
+    lambda is at most 3, the requirement is one path each way inside every
+    maximal 2-edge-connected piece, which the DFS (Robbins) orientation
+    meets.  (3) Otherwise the exhaustive orientation search of exact runs
+    per piece; it raises SearchExhaustedError only when its node budget
+    runs out on a piece above the edge limit.  A well-balanced orientation
+    always exists (Nash-Williams 1960).
     """
     if not g.is_connected():
         raise PreconditionError("well-balanced orientation needs a connected graph")
     lam = g._flow_tree()
-    odd = _odd_vertices(g)
-    if not odd:
-        d = eulerian_orientation(g)
-        if not is_well_balanced(g, d, lam):  # pragma: no cover - classical guarantee
-            raise InternalVerificationError("Eulerian orientation failed the balance check")
-        return d
-    tested = 0
-    for pairing in pairings(odd):
-        if tested >= pairing_budget:
-            break
-        tested += 1
-        aug = _augment_with_pairing(g, pairing)
-        tails = eulerian_circuit_arcs(aug)
-        d = Orientation(g, {e: tails[e] for e in g.edge_ids if not g.is_loop(e)})
+    for d in _pairing_orientations(g, {}, _WELL_BALANCED_PAIRINGS):
         if is_well_balanced(g, d, lam):
             return d
-    nonloop = [e for e in g.edge_ids if not g.is_loop(e)]
-    if len(nonloop) <= 18:
-        for bits in itertools.product((0, 1), repeat=len(nonloop)):
-            tails = {}
-            for e, bit in zip(nonloop, bits):
-                u, v = g.ends(e)
-                tails[e] = v if bit else u
-            d = Orientation(g, tails)
-            if is_well_balanced(g, d, lam):
-                return d
-    raise SearchExhaustedError("no well-balanced orientation found within budget")
+    if max(lam.values(), default=0) <= 3:
+        d = Orientation(g, _robbins_tails(g))
+    else:
+        d = _searched_well_balanced(g)
+    if not is_well_balanced(g, d, lam):  # pragma: no cover - guaranteed by both fallbacks
+        raise InternalVerificationError("fallback orientation failed the balance check")
+    return d

@@ -86,8 +86,9 @@ def seven_cycle_packings(g: Multigraph) -> SevenPackings:
 
     Checks that g is cubic and 3-edge-connected (PreconditionError
     otherwise); the upper7 pipeline checks its input once at entry and
-    builds the packings directly.  The quotients of the recursive case are
-    new graphs and are checked again.
+    builds the packings directly.  The recursive case does not check its
+    quotients: contracting one side of a 3-edge cut of a cubic
+    3-edge-connected graph leaves a cubic 3-edge-connected graph.
     """
     _check_cubic_3ec(g)
     return _seven_cycle_packings(g)
@@ -144,7 +145,7 @@ def _recursive_case(
         halves.append((cr.graph, next(iter(merged))))
     relabeled = []
     for quotient, merged_vertex in halves:
-        sub = seven_cycle_packings(quotient)
+        sub = _seven_cycle_packings(quotient)
         relabeled.append(_relabel(quotient, sub, merged_vertex, cut_sorted))
     combined = []
     for k in range(7):

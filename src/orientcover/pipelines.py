@@ -14,9 +14,8 @@ split sides, cubic extensions) are new inputs and are checked again.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     InternalVerificationError,
@@ -24,18 +23,17 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .exact import FrankCertificate, verify_certificate
-from .multigraph import Multigraph
+from .exact import FrankCertificate, Status, deletability_decide, verify_certificate
+from .multigraph import ContractionResult, Multigraph
 from .orientation import (
     Orientation,
-    eulerian_orientation_constrained,
     is_deletable_set,
     is_well_balanced,
     lift_tail,
     orient_quotient,
-    pairings,
     well_balanced_orientation,
-    _augment_with_pairing,
+    _pairing_orientations,
+    _robbins_tails,
 )
 from .packings import _seven_cycle_packings
 from .structures import (
@@ -101,11 +99,25 @@ def _is_cubic(g: Multigraph) -> bool:
     return all(g.degree(v) == 3 for v in g.vertices)
 
 
+def _lift(g: Multigraph, cr: ContractionResult, qtails: Mapping[int, int]) -> Dict[int, int]:
+    """Tails in g for the edges of cr's quotient, lifted from the quotient tails qtails.
+
+    An edge that became a quotient loop takes its smaller end; loops of g
+    take none.
+    """
+    q = cr.graph
+    tails: Dict[int, int] = {}
+    for e in q.edge_ids:
+        if g.is_loop(e):
+            continue
+        tails[e] = min(g.ends(e)) if q.is_loop(e) else lift_tail(cr, g, e, qtails[e])
+    return tails
+
+
 # -- special-set orientations ------------------------------------------------------
 
 
-def orient_special_set_deletable(g: Multigraph, p: CyclePacking,
-                                 pairing_budget: int = 4096) -> Orientation:
+def orient_special_set_deletable(g: Multigraph, p: CyclePacking) -> Orientation:
     """Orient every packing cycle as a circuit so the special set is deletable.
 
     The quotient by the packing gets a well-balanced orientation, lifted by
@@ -116,25 +128,19 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking,
     (PreconditionError otherwise); the pipelines check once at entry.
     """
     _require_3ec(g)
-    return _orient_special_set_deletable(g, p, special_set(g, p), pairing_budget)
+    return _orient_special_set_deletable(g, p, special_set(g, p))
 
 
-def _orient_special_set_deletable(g: Multigraph, p: CyclePacking, special: FrozenSet[int],
-                                  pairing_budget: int = 4096) -> Orientation:
+def _orient_special_set_deletable(g: Multigraph, p: CyclePacking,
+                                  special: FrozenSet[int]) -> Orientation:
     """orient_special_set_deletable on a checked graph, given p's special set."""
     cr = g.contract(p.edge_ids)
     q = cr.graph
     tails: Dict[int, int] = {}
     for c in p.cycles:
         tails.update(orient_cycle_as_circuit(c, g))
-    dq = well_balanced_orientation(q, pairing_budget) if q.num_vertices > 1 else None
-    for e in g.edge_ids:
-        if e in p.edge_ids or g.is_loop(e):
-            continue
-        if q.is_loop(e):
-            tails[e] = min(g.ends(e))
-        else:
-            tails[e] = lift_tail(cr, g, e, dq.tail(e))
+    qtails = well_balanced_orientation(q).tails if q.num_vertices > 1 else {}
+    tails.update(_lift(g, cr, qtails))
     d = Orientation(g, tails)
     if not is_deletable_set(d, special):
         raise InternalVerificationError("special set is not deletable in the lifted orientation")
@@ -147,17 +153,25 @@ def _orient_special_set_deletable(g: Multigraph, p: CyclePacking, special: Froze
 # -- matching orientations (essentially 4-edge-connected hosts) -----------------------
 
 
-def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
-                              pairing_budget: int = 2048) -> Orientation:
+_MATCHING_PAIRINGS = 2048  # pairings tried before the orientation search
+
+
+def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking) -> Orientation:
     """Orient g so the matching m is deletable and each cycle of p is a circuit.
 
-    Construction: contract the maximal 2-edge-connected pieces of g - m, search
-    for an odd-vertex pairing whose constrained Eulerian orientation restricts
-    to a well-balanced orientation of the quotient, orient each piece strongly
-    connected with the packing cycles as circuits, and combine.  The result is
-    verified; failing candidates trigger the next pairing.  Checks that g is
-    essentially 4-edge-connected, that m is a matching and that p avoids it
-    (PreconditionError otherwise); the esse4 pipeline checks g once at entry.
+    Construction: contract the maximal 2-edge-connected pieces of g - m and
+    orient each piece strongly connected with the packing cycles as
+    circuits.  The quotient's orientation comes from odd-vertex pairings
+    whose constrained Eulerian orientations restrict to well-balanced ones,
+    each lifted and verified in turn.  If none of the first pairings passes,
+    deletability_decide searches the quotient for an orientation in which m
+    is deletable; that is complete, since with strongly oriented pieces g's
+    orientation and each single deletion of m stay strongly connected
+    exactly when the quotient's do.  The search raises SearchExhaustedError
+    only when its node budget runs out above the edge limit.  Checks that g
+    is essentially 4-edge-connected, that m is a matching and that p avoids
+    it (PreconditionError otherwise); the esse4 pipeline checks g once at
+    entry.
     """
     if not g.is_essentially_4ec():
         raise PreconditionError("not essentially 4-edge-connected")
@@ -165,11 +179,10 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
         raise PreconditionError("the given edge set is not a matching")
     if m & p.edge_ids:
         raise PreconditionError("packing cycles must avoid the matching")
-    return _orient_matching_deletable(g, m, p, pairing_budget)
+    return _orient_matching_deletable(g, m, p)
 
 
-def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking,
-                               pairing_budget: int = 2048) -> Orientation:
+def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking) -> Orientation:
     """orient_matching_deletable on a checked graph, matching and packing."""
     rest = g.delete_edges(m)
     blocks = [b for b in rest.maximal_2ec_subgraphs()]
@@ -191,15 +204,9 @@ def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking
 
     block_tails = _orient_blocks(g, rest, blocks, p)
 
-    def build(dq: Optional[Orientation]) -> Orientation:
+    def build(dq: Orientation) -> Orientation:
         tails = dict(block_tails)
-        for e in quotient.edge_ids:
-            if g.is_loop(e):
-                continue
-            if quotient.is_loop(e):
-                tails[e] = min(g.ends(e))
-            else:
-                tails[e] = lift_tail(cr, g, e, dq.tail(e))
+        tails.update(_lift(g, cr, dq.tails))
         return Orientation(g, tails)
 
     def good(d: Orientation) -> bool:
@@ -207,33 +214,22 @@ def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking
             return False
         return all(is_circuit_in(d, c) for c in p.cycles)
 
-    if quotient.num_vertices == 1:
-        d = build(None)
-        if good(d):
-            return d
-        raise InternalVerificationError("trivial quotient produced a bad orientation")
-
     lam = quotient._flow_tree()
-    odd = [v for v in quotient.vertices if quotient.degree(v) % 2]
-    tested = 0
-    candidates = pairings(odd) if odd else iter([()])
-    for pairing in candidates:
-        if tested >= pairing_budget:
-            break
-        tested += 1
-        aug = _augment_with_pairing(quotient, pairing)
-        try:
-            d_aug = eulerian_orientation_constrained(aug, constraints)
-        except InternalVerificationError:  # pragma: no cover - detachment always satisfies
-            continue
-        dq = Orientation(quotient, {e: d_aug.tail(e) for e in quotient.edge_ids
-                                    if not quotient.is_loop(e)})
+    for dq in _pairing_orientations(quotient, constraints, _MATCHING_PAIRINGS):
         if not is_well_balanced(quotient, dq, lam):
             continue
         d = build(dq)
         if good(d):
             return d
-    return _fallback_matching_orientation(g, m, p)
+    found = deletability_decide(quotient, m)
+    if found.status is Status.INDETERMINATE:
+        raise SearchExhaustedError("matching orientation search ran out of nodes")
+    if found.status is Status.NO:  # pragma: no cover - the paper's construction exists
+        raise InternalVerificationError("the quotient has no orientation with the matching deletable")
+    d = build(found.orientation)
+    if not good(d):  # pragma: no cover - lifting keeps deletability and circuits
+        raise InternalVerificationError("lifted matching orientation failed verification")
+    return d
 
 
 def _orient_blocks(g: Multigraph, rest: Multigraph, blocks: Sequence[FrozenSet[int]],
@@ -261,68 +257,8 @@ def _orient_blocks(g: Multigraph, rest: Multigraph, blocks: Sequence[FrozenSet[i
             tails.update(orient_cycle_as_circuit(c, sub))
             cyc_edges |= set(c.edges)
         bq = sub.contract(cyc_edges)
-        for e, qt in _robbins_tails(bq.graph).items():
-            tails[e] = lift_tail(bq, sub, e, qt)
-        for e in edges:
-            if e not in tails and not sub.is_loop(e):
-                tails[e] = min(sub.ends(e))
+        tails.update(_lift(sub, bq, _robbins_tails(bq.graph)))
     return tails
-
-
-def _robbins_tails(h: Multigraph) -> Dict[int, int]:
-    """DFS orientation: tree arcs downward, all other arcs toward the shallower end.
-
-    Strongly connected whenever h is 2-edge-connected.
-    """
-    tails: Dict[int, int] = {}
-    disc: Dict[int, int] = {}
-    counter = 0
-    for root in h.vertices:
-        if root in disc:
-            continue
-        disc[root] = counter
-        counter += 1
-        stack = [(root, iter(h.incident_edges(root)))]
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e in tails or h.is_loop(e):
-                    continue
-                y = h.other_end(e, x)
-                if y not in disc:
-                    tails[e] = x
-                    disc[y] = counter
-                    counter += 1
-                    stack.append((y, iter(h.incident_edges(y))))
-                    advanced = True
-                    break
-                tails[e] = x if disc[x] > disc[y] else y
-            if not advanced:
-                stack.pop()
-    return tails
-
-
-def _fallback_matching_orientation(g: Multigraph, m: FrozenSet[int], p: CyclePacking) -> Orientation:
-    """Exhaustive search with each packing cycle frozen to a circuit choice."""
-    free = [e for e in g.edge_ids if e not in p.edge_ids and not g.is_loop(e)]
-    bits = len(p.cycles) + len(free)
-    if bits > 22:
-        raise SearchExhaustedError("no verified matching orientation within the pairing budget")
-    for combo in itertools.product((0, 1), repeat=bits):
-        tails: Dict[int, int] = {}
-        for c, flip in zip(p.cycles, combo):
-            circ = orient_cycle_as_circuit(c, g)
-            if flip:
-                circ = {e: g.other_end(e, t) for e, t in circ.items()}
-            tails.update(circ)
-        for e, bit in zip(free, combo[len(p.cycles):]):
-            u, v = g.ends(e)
-            tails[e] = v if bit else u
-        d = Orientation(g, tails)
-        if is_deletable_set(d, m):
-            return d
-    raise SearchExhaustedError("exhaustive fallback found no matching orientation")
 
 
 # -- pipeline: seven special sets -----------------------------------------------------
@@ -368,11 +304,7 @@ def _split_at_cut_vertex(g: Multigraph, v: int, recurse, name: str, bound: int) 
     for j in range(count):
         tails: Dict[int, int] = {}
         for cr, rep in parts:
-            dq = _pick(rep, j)
-            for e in cr.graph.edge_ids:
-                if g.is_loop(e):
-                    continue
-                tails[e] = lift_tail(cr, g, e, dq.tail(e))
+            tails.update(_lift(g, cr, _pick(rep, j).tails))
         orientations.append(Orientation(g, tails))
     cover: Dict[int, int] = {}
     for cr, rep in parts:
@@ -554,16 +486,8 @@ def _split_at_bridge(g: Multigraph, v: int, e0: int) -> PipelineReport:
     count = max(len(ds) for _, ds, _ in parts)
     orientations = []
     for j in range(count):
-        lifted = []
-        for cr, ds, _ in parts:
-            dq = ds[j] if j < len(ds) else ds[0]
-            tails = {}
-            for e in cr.graph.edge_ids:
-                if g.is_loop(e):
-                    continue
-                tails[e] = lift_tail(cr, g, e, dq.tail(e))
-            lifted.append(tails)
-        first, second = lifted
+        first, second = [_lift(g, cr, (ds[j] if j < len(ds) else ds[0]).tails)
+                         for cr, ds, _ in parts]
         if first[e0] != second[e0]:
             # reversing one side preserves its deletable set and fixes the seam
             second = {e: g.other_end(e, t) for e, t in second.items()}

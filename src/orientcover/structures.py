@@ -547,25 +547,10 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
 
 def _special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
     """special_set on a graph already known to be 3-edge-connected."""
-    cr = g.contract(p.edge_ids)
-    q = cr.graph
-    out = []
-    lam_cache: Dict[Tuple[int, int], int] = {}
-    for e in g.edge_ids:
-        if e in p.edge_ids:
-            continue
-        u, v = g.ends(e)
-        qu, qv = cr.vertex_map[u], cr.vertex_map[v]
-        if qu == qv:
-            out.append(e)
-            continue
-        key = (min(qu, qv), max(qu, qv))
-        lam = lam_cache.get(key)
-        if lam is None:
-            lam = q.local_edge_connectivity(qu, qv)
-            lam_cache[key] = lam
-        if lam >= 4:
-            out.append(e)
+    q = g.contract(p.edge_ids).graph
+    cut_edges = [e for e in q.edge_ids if not q.is_loop(e)]
+    out = [e for e in q.edge_ids if q.is_loop(e)]
+    out += [e for e, lam in zip(cut_edges, q._edge_lambdas(cut_edges)) if lam >= 4]
     return frozenset(out)
 
 

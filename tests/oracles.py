@@ -99,6 +99,13 @@ def brute_first_pair_3cut(vertices: Sequence[int], edges: Sequence[Edge]) -> Opt
     return None
 
 
+def generalized_petersen_pairs(n: int, k: int) -> List[Tuple[int, int]]:
+    """gp(n, k): outer cycle 0..n-1, spokes i -- n+i, inner steps of k; list positions are edge ids."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    pairs += [(n + i, n + (i + k) % n) for i in range(n)]
+    return [(min(u, v), max(u, v)) for u, v in pairs]
+
+
 def has_triangle(pairs: Sequence[Tuple[int, int]]) -> bool:
     adj: Dict[int, Set[int]] = {}
     for u, v in pairs:

@@ -252,23 +252,6 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
     assert leaves >= 100, leaves
 
 
-def test_edge_lambdas_match_local_edge_connectivity():
-    rng = random.Random(811)
-    graphs = [named_graph(name) for name in corpus_names()]
-    for _ in range(30):
-        n = rng.randint(2, 7)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 14))]
-        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
-    loops = parallels = 0
-    for g in graphs:
-        edges = [e for e in g.edge_ids if not g.is_loop(e)]
-        expected = [g.local_edge_connectivity(*g.ends(e)) for e in edges]
-        assert exact._edge_lambdas(g, edges) == expected, g
-        loops += any(g.is_loop(e) for e in g.edge_ids)
-        parallels += len({g.ends(e) for e in edges}) < len(edges)
-    assert loops >= 5 and parallels >= 5
-
-
 def test_decide_budget_indeterminate_distinct_from_no():
     g = named_graph("petersen")
     starved = deletability_decide(

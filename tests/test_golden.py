@@ -18,6 +18,8 @@ from orientcover.errors import GraphToolkitError
 from orientcover.multigraph import Multigraph
 from orientcover.pipelines import certify_bf5, certify_color3, certify_esse4, certify_upper7
 
+from oracles import generalized_petersen_pairs
+
 PIPELINES = {
     "seven": certify_upper7,
     "esse4": certify_esse4,
@@ -27,10 +29,7 @@ PIPELINES = {
 
 
 def gp(n, k):
-    """Generalized Petersen graph: outer cycle 0..n-1, spokes i -- n+i, inner steps of k."""
-    pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
-    pairs += [(n + i, n + (i + k) % n) for i in range(n)]
-    return Multigraph.from_pairs([(min(u, v), max(u, v)) for u, v in pairs])
+    return Multigraph.from_pairs(generalized_petersen_pairs(n, k))
 
 
 def graph_by_name(name):

@@ -1,7 +1,10 @@
-"""Source hygiene: no module under src/orientcover imports a name it never uses.
+"""Source hygiene for the modules under src/orientcover.
 
-Standard library only (ast), since no linter is part of the toolchain.  The
-package's __init__.py is exempt: its imports are the public re-exports.
+No module imports a name it never uses, and none calls itertools.product:
+the one exhaustive orientation search is exact._search, and the 2^m
+reference loops live in tests/oracles.py.  Standard library only (ast),
+since no linter is part of the toolchain.  The package's __init__.py is
+exempt from the import check: its imports are the public re-exports.
 """
 
 import ast
@@ -38,3 +41,33 @@ def test_checker_flags_an_unused_import():
     assert len(MODULES) >= 10
     source = "import os.path\nfrom typing import Dict, List\nx: List[int] = []\ny = \"Dict\"\n"
     assert unused_imports(source) == [(1, "os"), (2, "Dict")]
+
+
+def product_calls(source: str):
+    """Lines that call itertools.product, by attribute or by an imported name."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+             for alias in node.names if alias.name == "product"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "product"
+                and isinstance(f.value, ast.Name) and f.value.id == "itertools"):
+            lines.append(node.lineno)
+        elif isinstance(f, ast.Name) and f.id in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_itertools_product(path):
+    assert product_calls(path.read_text()) == []
+
+
+def test_checker_flags_itertools_product():
+    source = ("import itertools\nfrom itertools import product as p\n"
+              "a = itertools.product((0, 1), repeat=2)\nb = p('ab')\nc = itertools.islice(a, 1)\n")
+    assert product_calls(source) == [3, 4]

@@ -250,6 +250,23 @@ def test_flow_tree_on_small_multigraphs(g):
         assert tree_path_min(lam, u, v) == g.local_edge_connectivity(u, v)
 
 
+def test_edge_lambdas_match_local_edge_connectivity():
+    rng = random.Random(811)
+    graphs = [named_graph(name) for name in corpus_names()]
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 14))]
+        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
+    loops = parallels = 0
+    for g in graphs:
+        edges = [e for e in g.edge_ids if not g.is_loop(e)]
+        expected = [g.local_edge_connectivity(*g.ends(e)) for e in edges]
+        assert g._edge_lambdas(edges) == expected, g
+        loops += any(g.is_loop(e) for e in g.edge_ids)
+        parallels += len({g.ends(e) for e in edges}) < len(edges)
+    assert loops >= 5 and parallels >= 5
+
+
 # -- contraction -------------------------------------------------------------------
 
 
@@ -385,3 +402,4 @@ def test_3cuts_never_cross(name):
     for xs, ys in itertools.combinations(cuts, 2):
         corners = (xs - ys, ys - xs, xs & ys, vs - (xs | ys))
         assert any(not c for c in corners), (name, sorted(xs), sorted(ys))
+

@@ -352,6 +352,45 @@ def test_tree_pair_balance_check_matches_all_pairs():
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
+# -- well-balanced fallbacks past the pairing search ---------------------------------
+
+
+def k5_pairs(first):
+    return [(first + a, first + b) for a, b in itertools.combinations(range(5), 2)]
+
+
+FALLBACK_GRAPHS = {
+    "k4": lambda: named_graph("k4"),
+    "prism3": lambda: named_graph("prism3"),
+    "block_chain": lambda: Multigraph.from_pairs(  # K4, bridge, triangle, bridge, digon
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4),
+         (6, 7), (7, 8), (7, 8)]),
+    "k5": lambda: named_graph("k5"),
+    "hub_triangles": lambda: named_graph("hub_triangles"),
+    "k5_bridge_k5": lambda: Multigraph.from_pairs(k5_pairs(0) + [(4, 5)] + k5_pairs(5)),
+}
+SEARCHED = {"k5", "hub_triangles", "k5_bridge_k5"}  # some lambda >= 4; the rest take the DFS
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_GRAPHS))
+def test_well_balanced_fallbacks(monkeypatch, name):
+    from orientcover import exact, orientation
+
+    def not_taken(*args):
+        raise AssertionError("the other fallback ran")
+
+    g = FALLBACK_GRAPHS[name]()
+    monkeypatch.setattr(orientation, "_WELL_BALANCED_PAIRINGS", 0)  # no pairing is tried
+    assert (max(g._flow_tree().values()) >= 4) == (name in SEARCHED)
+    if name in SEARCHED:
+        monkeypatch.setattr(orientation, "_robbins_tails", not_taken)
+    else:
+        monkeypatch.setattr(exact, "_search", not_taken)
+    d = well_balanced_orientation(g)
+    assert well_balanced_all_pairs(g, d)
+    assert is_well_balanced(g, d)
+
+
 # -- serialization -----------------------------------------------------------------------
 
 

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from orientcover import packings
 from orientcover.corpus import named_graph
 from orientcover.errors import PreconditionError
 from orientcover.multigraph import Multigraph
 from orientcover.packings import seven_cycle_packings
 from orientcover.structures import special_set
+
+from oracles import generalized_petersen_pairs, random_cubic_3ec_pairs
 
 
 SMALL_CUBIC = ("k4", "theta", "k33", "prism3", "cube", "petersen")
@@ -52,6 +57,31 @@ def test_recursion_branch_on_bipetersen():
     sp = seven_cycle_packings(g)
     for e in g.edge_ids:
         assert len(sp.membership[e]) == 4
+
+
+GP_LADDER = [(5, 2), (7, 2), (8, 3), (10, 3), (12, 5), (16, 3), (32, 3)]
+
+
+def test_recursion_quotients_are_cubic_and_3_edge_connected(monkeypatch):
+    # the recursive case skips the precondition check on its quotients
+    seen = []
+    core = packings._seven_cycle_packings
+
+    def recording(g):
+        seen.append(g)
+        return core(g)
+
+    monkeypatch.setattr(packings, "_seven_cycle_packings", recording)
+    rng = random.Random(4091)
+    graphs = [Multigraph.from_pairs(generalized_petersen_pairs(n, k)) for n, k in GP_LADDER]
+    graphs += [Multigraph.from_pairs(random_cubic_3ec_pairs(rng, n, True)) for n in (8, 10, 12, 12)]
+    for g in graphs:
+        seven_cycle_packings(g)
+    quotients = [q for q in seen if q not in graphs]
+    assert len(quotients) >= 2 * 4
+    for q in quotients:
+        assert all(q.degree(v) == 3 for v in q.vertices)
+        assert q.edge_connectivity() >= 3
 
 
 def test_moebius_kantor_base_case():

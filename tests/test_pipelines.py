@@ -1,8 +1,9 @@
 import pytest
 
+from orientcover import pipelines
 from orientcover.corpus import named_graph
 from orientcover.errors import NotThreeEdgeColorableError, PreconditionError, SearchExhaustedError
-from orientcover.exact import verify_certificate
+from orientcover.exact import deletability_decide, verify_certificate
 from orientcover.multigraph import Multigraph
 from orientcover.orientation import deletable_arcs, is_deletable_set, is_strongly_connected
 from orientcover.pipelines import (
@@ -20,6 +21,8 @@ from orientcover.structures import (
     perfect_matching,
     special_set,
 )
+
+from oracles import generalized_petersen_pairs
 
 
 def assert_report_ok(g, report, bound):
@@ -108,23 +111,48 @@ def test_every_matching_of_k4_is_deletable():
         assert is_deletable_set(d, m)
 
 
-def test_matching_orientation_exhaustive_fallback():
-    from orientcover.pipelines import _fallback_matching_orientation
+def test_matching_orientation_exhaustive_fallback(monkeypatch):
+    calls = []
 
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return deletability_decide(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "_MATCHING_PAIRINGS", 0)
+    monkeypatch.setattr(pipelines, "deletability_decide", spy)
     g = named_graph("petersen")
     m = frozenset({5, 6, 7, 8, 9})
     p = cycles_from_edge_set(g, set(g.edge_ids) - m)
-    d = _fallback_matching_orientation(g, m, p)
+    d = orient_matching_deletable(g, m, p)
+    assert len(calls) == 1
     assert is_deletable_set(d, m)
     for c in p.cycles:
         assert is_circuit_in(d, c)
 
 
-def test_well_balanced_exhaustive_fallback():
+def test_matching_orientation_search_past_22_bits(monkeypatch):
+    # gp(32,3) minus its 32 spokes is two 32-cycles, so the quotient is two
+    # vertices joined by the spokes; a scan with each cycle frozen to one of
+    # its two circuits would range over 2 + 32 = 34 bits
+    monkeypatch.setattr(pipelines, "_MATCHING_PAIRINGS", 0)
+    g = Multigraph.from_pairs(generalized_petersen_pairs(32, 3))
+    assert g.num_vertices == 64 and g.is_essentially_4ec()
+    m = frozenset(e for e in g.edge_ids if abs(g.ends(e)[0] - g.ends(e)[1]) == 32)
+    p = cycles_from_edge_set(g, set(g.edge_ids) - m)
+    assert len(m) == 32 and len(p.cycles) == 2
+    d = orient_matching_deletable(g, m, p)
+    assert is_deletable_set(d, m)
+    for c in p.cycles:
+        assert is_circuit_in(d, c)
+
+
+def test_well_balanced_exhaustive_fallback(monkeypatch):
+    from orientcover import orientation
     from orientcover.orientation import is_well_balanced, well_balanced_orientation
 
+    monkeypatch.setattr(orientation, "_WELL_BALANCED_PAIRINGS", 0)  # no pairing is tried
     g = named_graph("k4")
-    d = well_balanced_orientation(g, pairing_budget=0)  # forces the orientation scan
+    d = well_balanced_orientation(g)
     assert is_well_balanced(g, d)
 
 
@@ -135,6 +163,28 @@ def test_well_balanced_exhaustive_fallback():
                                   "moebius_kantor", "bipetersen"])
 def test_upper7_cubic_corpus(name):
     g = named_graph(name)
+    assert_report_ok(g, certify_upper7(g), 7)
+
+
+# Seeded random cubic graphs with a triangle on which none of the first 4,096
+# odd-vertex pairings gave a well-balanced orientation of some quotient.
+PAIRING_SEARCH_MISSES = [
+    [(0, 1), (0, 10), (0, 13), (1, 8), (1, 15), (2, 4), (2, 9), (2, 12), (3, 6), (3, 11),
+     (3, 13), (4, 5), (4, 9), (5, 6), (5, 17), (6, 10), (7, 9), (7, 13), (7, 16), (8, 11),
+     (8, 14), (10, 19), (11, 15), (12, 17), (12, 18), (14, 15), (14, 16), (16, 18), (17, 19),
+     (18, 19)],
+    [(0, 3), (0, 7), (0, 26), (1, 2), (1, 12), (1, 28), (2, 5), (2, 14), (3, 30), (3, 31),
+     (4, 10), (4, 17), (4, 19), (5, 21), (5, 22), (6, 13), (6, 16), (6, 31), (7, 28), (7, 30),
+     (8, 20), (8, 24), (8, 29), (9, 19), (9, 21), (9, 28), (10, 15), (10, 24), (11, 12),
+     (11, 18), (11, 27), (12, 17), (13, 15), (13, 27), (14, 23), (14, 26), (15, 16), (16, 19),
+     (17, 25), (18, 20), (18, 29), (20, 27), (21, 22), (22, 23), (23, 25), (24, 26), (25, 29),
+     (30, 31)],
+]
+
+
+@pytest.mark.parametrize("pairs", PAIRING_SEARCH_MISSES, ids=["n20", "n32"])
+def test_upper7_past_the_pairing_search(pairs):
+    g = Multigraph.from_pairs(pairs)
     assert_report_ok(g, certify_upper7(g), 7)
 
 
