@@ -16,6 +16,7 @@ from typing import Dict, Optional
 from . import corpus, graphio, reduction
 from .errors import FormatError, GraphToolkitError, SearchExhaustedError
 from .exact import (
+    DEFAULT_LIMITS,
     SolveLimits,
     Status,
     certificate_from_json,
@@ -139,11 +140,6 @@ def _cmd_deletable(args) -> int:
     limits = SolveLimits(max_enumerable_edges=args.limit_edges, node_budget=args.node_budget)
     result = deletability_decide(g, edge_ids, limits)
     if result.status is Status.FOUND:
-        from .orientation import is_deletable_set
-
-        if not is_deletable_set(result.orientation, edge_ids):  # pragma: no cover
-            print("error: witness failed re-verification", file=sys.stderr)
-            return 1
         payload = result.orientation.to_json()
         payload["deletable"] = True
         payload["set"] = sorted(set(edge_ids))
@@ -219,7 +215,7 @@ def _cmd_verify(args) -> int:
     obj = _load_json(args.certificate)
     graph = _load_graph(args.graph) if args.graph else None
     cert = certificate_from_json(obj, graph)
-    g = graph if graph is not None else cert.orientations[0].graph
+    g = graph if graph is not None else graphio.graph_from_json(obj["graph"], cap=None)
     ok, bad = verify_certificate(g, cert)
     if ok:
         print(f"certificate verified: {len(cert.orientations)} orientations cover "
@@ -250,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true")
     group.add_argument("--pipeline", choices=sorted(PIPELINES))
     p.add_argument("graph")
-    p.add_argument("--limit-edges", type=int, default=22)
+    p.add_argument("--limit-edges", type=int, default=DEFAULT_LIMITS.max_enumerable_edges)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frank)
 
     p = sub.add_parser("deletable", help="decide deletability of an edge set")
     p.add_argument("--set", required=True, help="comma-separated edge ids")
     p.add_argument("graph")
-    p.add_argument("--limit-edges", type=int, default=22)
-    p.add_argument("--node-budget", type=int, default=2_000_000)
+    p.add_argument("--limit-edges", type=int, default=DEFAULT_LIMITS.max_enumerable_edges)
+    p.add_argument("--node-budget", type=int, default=DEFAULT_LIMITS.node_budget)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_deletable)
 

@@ -10,7 +10,9 @@ edge forces that edge's direction when only one direction can pass the same
 test, and cuts the branch when neither can; this removes only dead subtrees,
 so every leaf is reached in the same order as without it.  Every answer
 ships a witness that is re-verified by direct deletion checks; budget
-exhaustion is a distinct outcome, never conflated with "no".
+exhaustion is a distinct outcome, never conflated with "no".  The search
+leaves, the profile scan and certificate verification all run the one
+reachability kernel of the orientation module (`_strong`, `_deletable_mask`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .multigraph import Multigraph
-from .orientation import Orientation, is_deletable_set, is_strongly_connected
+from .orientation import Orientation, _deletable_among, _deletable_mask, _strong, is_deletable_set
 
 
 class Status(Enum):
@@ -104,7 +106,13 @@ def certificate_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Fran
 
 
 class _Kernel:
-    """Flat arrays for fast orientation scans of one graph."""
+    """One graph as flat arrays for the orientation search.
+
+    Vertex i is the i-th vertex of the graph and edge i its i-th non-loop
+    edge by id; bit i of an orientation mask reverses edge i.  `arcs_of`
+    gives the (tail, head) list that the reachability kernel of the
+    orientation module takes.
+    """
 
     def __init__(self, g: Multigraph):
         self.graph = g
@@ -132,62 +140,6 @@ class _Kernel:
             u, v = self.graph.ends(e)
             tails[e] = v if (mask >> i) & 1 else u
         return Orientation(self.graph, tails)
-
-    def strongly_connected(self, arcs: Sequence[Tuple[int, int]]) -> bool:
-        n = self.n
-        if n <= 1:
-            return True
-        fwd = [[] for _ in range(n)]
-        bwd = [[] for _ in range(n)]
-        for t, h in arcs:
-            fwd[t].append(h)
-            bwd[h].append(t)
-        for adj in (fwd, bwd):
-            seen = bytearray(n)
-            seen[0] = 1
-            stack = [0]
-            count = 1
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = 1
-                        count += 1
-                        stack.append(y)
-            if count != n:
-                return False
-        return True
-
-    def deletable_mask(self, arcs: Sequence[Tuple[int, int]], candidates: Optional[Iterable[int]] = None) -> int:
-        """Bitmask over edge indices whose arc deletion keeps strong connectivity.
-
-        Assumes the orientation itself is strongly connected, so the test per
-        arc is a single reachability query tail -> head without that arc.
-        """
-        n = self.n
-        fwd: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (t, h) in enumerate(arcs):
-            fwd[t].append((h, i))
-        result = 0
-        idxs = range(self.m) if candidates is None else candidates
-        for i in idxs:
-            t, h = arcs[i]
-            seen = bytearray(n)
-            seen[t] = 1
-            stack = [t]
-            ok = False
-            while stack and not ok:
-                x = stack.pop()
-                for y, j in fwd[x]:
-                    if j != i and not seen[y]:
-                        if y == h:
-                            ok = True
-                            break
-                        seen[y] = 1
-                        stack.append(y)
-            if ok:
-                result |= 1 << i
-        return result
 
 
 def _search(
@@ -296,7 +248,7 @@ def _search(
             pos += 1
         if pos == m:
             arcs = kern.arcs_of(mask)
-            if kern.strongly_connected(arcs) and leaf(mask, arcs):
+            if _strong(n, arcs) and leaf(mask, arcs):
                 found = mask
                 return True
             return False
@@ -335,7 +287,7 @@ def _scan_deletable_profiles(g: Multigraph, limits: SolveLimits) -> Tuple[_Kerne
     profiles: Dict[int, int] = {}
 
     def record(mask: int, arcs: List[Tuple[int, int]]) -> bool:
-        dmask = kern.deletable_mask(arcs)
+        dmask = _deletable_mask(kern.n, arcs)
         if dmask not in profiles or mask < profiles[dmask]:
             profiles[dmask] = mask
         return False
@@ -474,7 +426,8 @@ def deletability_decide(
 
     The search has no node budget up to the edge limit and stops after
     `limits.node_budget` nodes above it; a budget exhaustion is reported as
-    INDETERMINATE.  Any FOUND answer carries a verified witness.
+    INDETERMINATE.  Any FOUND answer carries a witness re-verified with
+    is_deletable_set; a witness that fails raises InternalVerificationError.
 
     Before the search, a vertex whose non-loop edges all lie in s and number
     fewer than four answers NO in 0 nodes: deleting any one of its arcs must
@@ -502,10 +455,14 @@ def deletability_decide(
     budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
 
     def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
-        return kern.deletable_mask(arcs, candidates=s_idx) & sbit == sbit
+        return _deletable_mask(kern.n, arcs, s_idx) & sbit == sbit
 
     status, mask, nodes = _search(kern, order, sbit, budget, all_deletable)
-    witness = kern.orientation_of(mask) if status is Status.FOUND else None
+    if status is not Status.FOUND:
+        return DecideResult(status, None, nodes)
+    witness = kern.orientation_of(mask)
+    if not is_deletable_set(witness, sset):
+        raise InternalVerificationError("decision witness failed re-verification")
     return DecideResult(status, witness, nodes)
 
 
@@ -518,16 +475,15 @@ def verify_certificate(g: Multigraph, cert: FrankCertificate) -> Tuple[bool, Fro
     for d in cert.orientations:
         if d.graph != g:
             raise CertificateMismatchError("certificate orientations reference a different graph")
-    strong = [is_strongly_connected(d) for d in cert.orientations]
     bad: Set[int] = set()
+    claimed: Dict[int, List[int]] = {}
     for e in g.edge_ids:
         idx = cert.cover.get(e)
         if idx is None or not 0 <= idx < len(cert.orientations):
             bad.add(e)
-            continue
-        if not strong[idx]:
-            bad.add(e)
-            continue
-        if not is_deletable_set(cert.orientations[idx], [e]):
-            bad.add(e)
+        else:
+            claimed.setdefault(idx, []).append(e)
+    for idx, edges in claimed.items():
+        found = _deletable_among(cert.orientations[idx], edges)
+        bad.update(e for e in edges if found is None or e not in found)
     return (not bad, frozenset(bad))

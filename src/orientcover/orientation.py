@@ -1,9 +1,9 @@
 """Orientations of a multigraph and their connectivity properties.
 
 An orientation assigns a tail to every non-loop edge of a reference graph;
-loops carry no direction and never affect any cut.  Strong connectivity runs
-two graph searches from one root, which keeps the per-orientation cost linear
-for the enumeration-heavy callers.
+loops carry no direction and never affect any cut.  One reachability kernel
+over flat arrays, `_strong` and `_deletable_mask`, makes every
+strong-connectivity and deletable-arc test, here and in exact.
 """
 
 from __future__ import annotations
@@ -137,40 +137,91 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
 # -- reachability ---------------------------------------------------------------
 
 
-def _reaches_all(adj: Mapping[int, Tuple[Tuple[int, int], ...]], root: int, n: int) -> bool:
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y, _ in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
+def _strong(n: int, arcs: Sequence[Tuple[int, int]]) -> bool:
+    """True when the (tail, head) arcs over vertices 0..n-1 are strongly connected."""
+    if n <= 1:
+        return True
+    fwd: List[List[int]] = [[] for _ in range(n)]
+    bwd: List[List[int]] = [[] for _ in range(n)]
+    for t, h in arcs:
+        fwd[t].append(h)
+        bwd[h].append(t)
+    for adj in (fwd, bwd):
+        seen = bytearray(n)
+        seen[0] = 1
+        stack = [0]
+        count = 1
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    count += 1
+                    stack.append(y)
+        if count != n:
+            return False
+    return True
+
+
+def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optional[Iterable[int]] = None) -> int:
+    """Bitmask over arc indices (all, or `candidates`) whose deletion keeps strong connectivity.
+
+    Assumes the arcs are strongly connected, so the test per arc is a single
+    reachability query tail -> head without that arc.
+    """
+    fwd: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (t, h) in enumerate(arcs):
+        fwd[t].append((h, i))
+    result = 0
+    for i in range(len(arcs)) if candidates is None else candidates:
+        t, h = arcs[i]
+        seen = bytearray(n)
+        seen[t] = 1
+        stack = [t]
+        ok = False
+        while stack and not ok:
+            x = stack.pop()
+            for y, j in fwd[x]:
+                if j != i and not seen[y]:
+                    if y == h:
+                        ok = True
+                        break
+                    seen[y] = 1
+                    stack.append(y)
+        if ok:
+            result |= 1 << i
+    return result
+
+
+def _indexed_arcs(d: Orientation) -> Tuple[int, List[int], List[Tuple[int, int]]]:
+    """(n, edge ids, arcs) of d for the kernel; arc i runs along edge ids[i]."""
+    index = {v: i for i, v in enumerate(d._out)}
+    edges: List[int] = []
+    arcs: List[Tuple[int, int]] = []
+    for t, out in d._out.items():
+        for h, e in out:
+            edges.append(e)
+            arcs.append((index[t], index[h]))
+    return len(index), edges, arcs
+
+
+def _deletable_among(d: Orientation, f: Sequence[int]) -> Optional[FrozenSet[int]]:
+    """The edges of f whose arc deletion keeps d strongly connected.
+
+    None when d itself is not strongly connected.  Loops are always
+    deletable; an edge unknown to d's graph raises UnknownEdgeError.
+    """
+    n, edges, arcs = _indexed_arcs(d)
+    if not _strong(n, arcs):
+        return None
+    pos = {e: i for i, e in enumerate(edges)}
+    mask = _deletable_mask(n, arcs, [pos[e] for e in f if not d.graph.is_loop(e)])
+    return frozenset(e for e in f if d.graph.is_loop(e) or (mask >> pos[e]) & 1)
 
 
 def is_strongly_connected(d: Orientation) -> bool:
-    n = d.graph.num_vertices
-    if n <= 1:
-        return True
-    root = d.graph.vertices[0]
-    return _reaches_all(d._out, root, n) and _reaches_all(d._in, root, n)
-
-
-def _reaches_without(d: Orientation, banned_edge: int, src: int, dst: int) -> bool:
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        x = stack.pop()
-        for y, e in d._out[x]:
-            if e != banned_edge and y not in seen:
-                if y == dst:
-                    return True
-                seen.add(y)
-                stack.append(y)
-    return False
+    n, _, arcs = _indexed_arcs(d)
+    return _strong(n, arcs)
 
 
 def deletable_arcs(d: Orientation) -> FrozenSet[int]:
@@ -178,27 +229,17 @@ def deletable_arcs(d: Orientation) -> FrozenSet[int]:
 
     Requires a strongly connected input; loops are always deletable.
     """
-    if not is_strongly_connected(d):
+    found = _deletable_among(d, d.graph.edge_ids)
+    if found is None:
         raise NotStronglyConnectedError("deletable_arcs needs a strongly connected orientation")
-    out = []
-    for e in d.graph.edge_ids:
-        if d.graph.is_loop(e):
-            out.append(e)
-        elif _reaches_without(d, e, d.tail(e), d.head(e)):
-            out.append(e)
-    return frozenset(out)
+    return found
 
 
 def is_deletable_set(d: Orientation, f: Iterable[int]) -> bool:
     """True when d and every single-arc deletion of f stay strongly connected."""
-    if not is_strongly_connected(d):
-        return False
-    for e in f:
-        if d.graph.is_loop(e):
-            continue
-        if not _reaches_without(d, e, d.tail(e), d.head(e)):
-            return False
-    return True
+    f = list(f)
+    found = _deletable_among(d, f)
+    return found is not None and found.issuperset(f)
 
 
 def cut_characterization_check(d: Orientation, f: Iterable[int], max_vertices: int = 18) -> bool:

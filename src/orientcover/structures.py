@@ -17,8 +17,8 @@ from .multigraph import Multigraph
 from .orientation import (
     Orientation,
     contract_orientation,
+    is_deletable_set,
     is_strongly_connected,
-    _reaches_without,
 )
 
 
@@ -677,7 +677,7 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
 def _deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
     """find_deletable_arc_on_circuit for a circuit c of a checked orientation d."""
     e = _recurse_circuit_arc(d, _aligned_cycle(d, c))
-    if not _reaches_without(d, e, d.tail(e), d.head(e)):  # pragma: no cover - proof guarantee
+    if not is_deletable_set(d, [e]):  # pragma: no cover - proof guarantee
         raise InternalVerificationError("selected circuit arc is not deletable")
     return e
 
@@ -713,11 +713,11 @@ def _recurse_circuit_arc(d: Orientation, c: Cycle) -> int:
         bridge_path = [e]
         entry, exit_ = h, t
     elif t in cvs:
-        hop = _path_avoiding(d, h, cvs)
+        hop = _path_avoiding(d, h, cvs, forward=True)
         bridge_path = [e] + hop[0]
         entry, exit_ = hop[1], t
     else:
-        hop = _path_avoiding_backward(d, t, cvs)
+        hop = _path_avoiding(d, t, cvs, forward=False)
         bridge_path = hop[0] + [e]
         entry, exit_ = h, hop[1]
     # close with the circuit's own directed subpath entry -> exit_
@@ -733,10 +733,15 @@ def _recurse_circuit_arc(d: Orientation, c: Cycle) -> int:
     return _recurse_circuit_arc(quotient, _aligned_cycle(quotient, sub.cycles[0]))
 
 
-def _path_avoiding(d: Orientation, src: int, stop: FrozenSet[int]) -> Tuple[List[int], int]:
-    """Shortest directed path from src to any stop vertex, internally off stop."""
+def _path_avoiding(d: Orientation, src: int, stop: FrozenSet[int], forward: bool) -> Tuple[List[int], int]:
+    """Shortest directed path between src and a stop vertex, internally off stop.
+
+    Forward paths run from src to the stop vertex, backward ones from the
+    stop vertex to src; returns (edges in path order, the stop vertex).
+    """
     if src in stop:
         return [], src
+    step = d.out_arcs if forward else d.in_arcs
     prev: Dict[int, Tuple[int, int]] = {}
     seen = {src}
     queue = [src]
@@ -744,7 +749,7 @@ def _path_avoiding(d: Orientation, src: int, stop: FrozenSet[int]) -> Tuple[List
     while qi < len(queue):
         x = queue[qi]
         qi += 1
-        for y, e in d.out_arcs(x):
+        for y, e in step(x):
             if y in seen:
                 continue
             prev[y] = (e, x)
@@ -754,37 +759,10 @@ def _path_avoiding(d: Orientation, src: int, stop: FrozenSet[int]) -> Tuple[List
                 while z != src:
                     e2, z = prev[z]
                     path.append(e2)
-                return list(reversed(path)), y
+                return (path[::-1] if forward else path), y
             seen.add(y)
             queue.append(y)
-    raise NotStronglyConnectedError("no directed path back to the circuit")
-
-
-def _path_avoiding_backward(d: Orientation, dst: int, stop: FrozenSet[int]) -> Tuple[List[int], int]:
-    """Shortest directed path from some stop vertex to dst, internally off stop."""
-    if dst in stop:
-        return [], dst
-    prev: Dict[int, Tuple[int, int]] = {}
-    seen = {dst}
-    queue = [dst]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y, e in d.in_arcs(x):
-            if y in seen:
-                continue
-            prev[y] = (e, x)
-            if y in stop:
-                path = []
-                z = y
-                while z != dst:
-                    e2, z = prev[z]
-                    path.append(e2)
-                return path, y
-            seen.add(y)
-            queue.append(y)
-    raise NotStronglyConnectedError("no directed path from the circuit")
+    raise NotStronglyConnectedError("no directed path between the circuit and an outside vertex")
 
 
 def _circuit_subpath(c: Cycle, start: int, end: int) -> List[int]:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from orientcover.cli import main
+from orientcover.cli import build_parser, main
+from orientcover.exact import DEFAULT_LIMITS
 from orientcover.reduction import PAPER_EXAMPLE
 
 
@@ -59,6 +60,18 @@ def test_verify_detects_tampering(tmp_path, capsys):
     bad.write_text(json.dumps(payload))
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 1 and "INVALID" in err
+    payload["orientations"] = []  # the graph then comes from the certificate alone
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 1 and err == "certificate INVALID on edges [0, 1, 2, 3, 4, 5]\n"
+
+
+def test_parser_defaults_come_from_solve_limits():
+    parser = build_parser()
+    frank = parser.parse_args(["frank", "--exact", "corpus:k4"])
+    deletable = parser.parse_args(["deletable", "--set", "0", "corpus:k4"])
+    assert frank.limit_edges == deletable.limit_edges == DEFAULT_LIMITS.max_enumerable_edges
+    assert deletable.node_budget == DEFAULT_LIMITS.node_budget
 
 
 def test_deletable_yes_and_no(capsys):

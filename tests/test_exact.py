@@ -115,6 +115,16 @@ def test_frank_internal_verification_failure_raises_internal_error(monkeypatch):
         frank_number_exact(named_graph("k4"))
 
 
+def test_decide_witness_failure_raises_internal_error(monkeypatch):
+    g = named_graph("petersen")
+    spokes = [5, 6, 7, 8, 9]
+    natural = exact._Kernel.orientation_of
+    assert not is_deletable_set(natural(exact._Kernel(g), 0), spokes)
+    monkeypatch.setattr(exact._Kernel, "orientation_of", lambda self, mask: natural(self, 0))
+    with pytest.raises(InternalVerificationError, match="witness"):
+        deletability_decide(g, spokes)
+
+
 def test_profile_scan_matches_plain_enumeration():
     rng = random.Random(2012)
     graphs = [named_graph(name) for name in corpus_names()]

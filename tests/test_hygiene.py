@@ -1,8 +1,9 @@
 """Source hygiene for the modules under src/orientcover.
 
-No module imports a name it never uses, and none calls itertools.product:
-the one exhaustive orientation search is exact._search, and the 2^m
-reference loops live in tests/oracles.py.  Standard library only (ast),
+No module imports a name it never uses, none calls itertools.product (the
+one exhaustive orientation search is exact._search, and the 2^m reference
+loops live in tests/oracles.py), and every private function or method is
+reached from the package outside its own body.  Standard library only (ast),
 since no linter is part of the toolchain.  The package's __init__.py is
 exempt from the import check: its imports are the public re-exports.
 """
@@ -71,3 +72,45 @@ def test_checker_flags_itertools_product():
     source = ("import itertools\nfrom itertools import product as p\n"
               "a = itertools.product((0, 1), repeat=2)\nb = p('ab')\nc = itertools.islice(a, 1)\n")
     assert product_calls(source) == [3, 4]
+
+
+def dead_private_functions(sources):
+    """(file, line, name) of each _-prefixed, non-dunder function or method
+    that no code in `sources` (file name -> text) names outside its own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    total = {}
+    for tree in trees.values():
+        for name in names(tree):
+            total[name] = total.get(name, 0) + 1
+    dead = []
+    for file, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and total.get(node.name, 0) == names(node).count(node.name)):
+                dead.append((file, node.lineno, node.name))
+    return dead
+
+
+def test_no_dead_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_functions(sources) == []
+
+
+def test_checker_flags_a_dead_private_function():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n\n"
+                 "def _dead():\n    return _used()\n\n"
+                 "def _self_only(k):\n    return _self_only(k - 1) if k else 0\n\n"
+                 "class C:\n    def __init__(self):\n        self._m()\n\n"
+                 "    def _m(self):\n        pass\n\n"
+                 "    def _unreached(self):\n        pass\n"),
+        "b.py": "from a import _used\n",
+    }
+    assert dead_private_functions(sources) == [
+        ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached")]

@@ -384,9 +384,9 @@ def test_circuit_arc_stress_over_sampled_orientations():
         kern = _Kernel(g)
         for low in range(0, 1 << (kern.m - 1), 57):
             mask = low << 1
-            if not kern.strongly_connected(kern.arcs_of(mask)):
-                continue
             d = kern.orientation_of(mask)
+            if not is_strongly_connected(d):
+                continue
             seen = {}
             x = g.vertices[0]
             path = []
