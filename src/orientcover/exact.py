@@ -13,6 +13,10 @@ ships a witness that is re-verified by direct deletion checks; budget
 exhaustion is a distinct outcome, never conflated with "no".  The search
 leaves, the profile scan and certificate verification all run the one
 reachability kernel of the orientation module (`_strong`, `_deletable_mask`).
+
+The exact Frank number scans the strong orientations for their distinct
+deletable-arc sets, and stops as soon as those seen hold a cover of
+lower-bound size; only a scan that runs to the end needs the set cover.
 """
 
 from __future__ import annotations
@@ -275,22 +279,31 @@ def _search(
     return Status.NO, 0, nodes
 
 
-def _scan_deletable_profiles(g: Multigraph, limits: SolveLimits) -> Tuple[_Kernel, Dict[int, int]]:
+def _scan_deletable_profiles(
+    g: Multigraph, limits: SolveLimits, stop: Optional[Callable[[int, int], bool]] = None,
+) -> Tuple[_Kernel, Dict[int, int]]:
     """All distinct deletable-arc masks with their smallest orientation mask.
 
     Edges are searched in index order, so edge 0 keeps its natural direction.
+    Each new mask is handed to `stop(mask, rest)`, with `rest` the edges
+    outside it, as soon as it is recorded; the scan ends at the first one
+    it accepts, with only the masks seen so far.
     """
     kern = _Kernel(g)
     if kern.m > limits.max_enumerable_edges:
         raise GraphTooLargeError(
             f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
+    universe = (1 << kern.m) - 1
     profiles: Dict[int, int] = {}
 
     def record(mask: int, arcs: List[Tuple[int, int]]) -> bool:
         dmask = _deletable_mask(kern.n, arcs)
-        if dmask not in profiles or mask < profiles[dmask]:
-            profiles[dmask] = mask
-        return False
+        if dmask in profiles:
+            if mask < profiles[dmask]:
+                profiles[dmask] = mask
+            return False
+        profiles[dmask] = mask
+        return stop is not None and stop(dmask, universe & ~dmask)
 
     _search(kern, range(kern.m), 0, None, record)
     return kern, profiles
@@ -363,26 +376,12 @@ def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
     return [order[i] for i in best_sol]
 
 
-# -- public operations ----------------------------------------------------------------
+def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, int]]:
+    """A minimum cover of the edges by deletable sets, as (set, orientation) masks.
 
-
-def frank_lower_bound(g: Multigraph) -> int:
-    """2 when a 3-edge-cut exists, else 1; input must be 3-edge-connected."""
-    lam = g.edge_connectivity()
-    if lam < 3:
-        raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
-    return 2 if lam == 3 else 1
-
-
-def frank_number_exact(
-    g: Multigraph, limits: SolveLimits = DEFAULT_LIMITS
-) -> Tuple[int, FrankCertificate]:
-    """Exact Frank number by a scan of all strong orientations plus exact set cover."""
-    if g.num_vertices < 2 or g.edge_connectivity() < 3:
-        raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
-    kern, profiles = _scan_deletable_profiles(g, limits)
-    universe = (1 << kern.m) - 1
-    # prune dominated deletable sets, keeping the lexicographically least mask per set
+    Dominated sets are dropped first, keeping the lexicographically least
+    orientation mask per set.
+    """
     items = sorted(profiles.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
     # holders[j] has bit k set when maximal[k] contains edge j, so a set is
     # dominated exactly when the AND of its edges' holders is nonzero
@@ -398,8 +397,71 @@ def frank_number_exact(
         for j in members:
             holders[j] |= 1 << len(maximal)
         maximal.append((dmask, omask))
-    cover_idx = _min_cover(universe, [dm for dm, _ in maximal])
-    chosen = [maximal[i] for i in cover_idx]
+    cover_idx = _min_cover((1 << kern.m) - 1, [dm for dm, _ in maximal])
+    return [maximal[i] for i in cover_idx]
+
+
+# -- public operations ----------------------------------------------------------------
+
+
+def frank_lower_bound(g: Multigraph) -> int:
+    """2 when a 3-edge-cut exists, else 1; input must be 3-edge-connected."""
+    lam = g.edge_connectivity()
+    if lam < 3:
+        raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
+    return 2 if lam == 3 else 1
+
+
+def frank_number_exact(
+    g: Multigraph, limits: SolveLimits = DEFAULT_LIMITS
+) -> Tuple[int, FrankCertificate]:
+    """Exact Frank number: a scan of the strong orientations plus exact set cover.
+
+    The scan stops at the first new deletable-arc set that, with at most one
+    set seen before it, covers every edge in `frank_lower_bound(g)` sets:
+    no cover is smaller, so those sets are the certificate, first seen
+    first.  Otherwise the scan runs through every strong orientation, and
+    an exact set cover over the maximal deletable sets picks the
+    certificate.
+    """
+    lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
+    if lam < 3:
+        raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
+    bound = 2 if lam == 3 else 1  # frank_lower_bound
+    # seen[k] is the k-th deletable set of the scan; holders[j] has bit k set
+    # when seen[k] contains edge j, so some seen set contains the edges
+    # outside a new one exactly when the AND of those edges' holders is nonzero
+    seen: List[int] = []
+    holders = [0] * g.num_edges
+    early: List[int] = []
+
+    def completes_cover(dmask: int, rest: int) -> bool:
+        if not rest:
+            early.append(dmask)
+            return True
+        if bound == 1:
+            return False
+        common = (1 << len(seen)) - 1
+        j = 0
+        while rest and common:
+            if rest & 1:
+                common &= holders[j]
+            rest >>= 1
+            j += 1
+        if common:
+            early.extend((seen[(common & -common).bit_length() - 1], dmask))
+            return True
+        for j in range(len(holders)):
+            if (dmask >> j) & 1:
+                holders[j] |= 1 << len(seen)
+        seen.append(dmask)
+        return False
+
+    kern, profiles = _scan_deletable_profiles(g, limits, completes_cover)
+    if early:
+        chosen = [(dmask, profiles[dmask]) for dmask in early]
+    else:
+        chosen = _maximal_cover(kern, profiles)
     orientations = tuple(kern.orientation_of(omask) for _, omask in chosen)
     cover: Dict[int, int] = {}
     for e in g.edge_ids:

@@ -27,7 +27,7 @@ from .multigraph import ContractionResult, Multigraph, _max_flow
 class Orientation:
     """A direction bit per non-loop edge of a reference multigraph."""
 
-    __slots__ = ("graph", "_tails", "_out", "_in")
+    __slots__ = ("graph", "_tails", "_out", "_in", "_indexed")
 
     def __init__(self, graph: Multigraph, tails: Mapping[int, int]):
         self.graph = graph
@@ -56,6 +56,7 @@ class Orientation:
             inc[h].append((t, e))
         self._out = {v: tuple(a) for v, a in out.items()}
         self._in = {v: tuple(a) for v, a in inc.items()}
+        self._indexed: Optional[Tuple[int, List[int], List[Tuple[int, int]]]] = None
 
     @property
     def tails(self) -> Dict[int, int]:
@@ -167,14 +168,22 @@ def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optiona
     """Bitmask over arc indices (all, or `candidates`) whose deletion keeps strong connectivity.
 
     Assumes the arcs are strongly connected, so the test per arc is a single
-    reachability query tail -> head without that arc.
+    reachability query tail -> head without that arc.  An arc that is its
+    tail's only out-arc or its head's only in-arc is never deletable and
+    gets no query.
     """
     fwd: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    outdeg = [0] * n
+    indeg = [0] * n
     for i, (t, h) in enumerate(arcs):
         fwd[t].append((h, i))
+        outdeg[t] += 1
+        indeg[h] += 1
     result = 0
     for i in range(len(arcs)) if candidates is None else candidates:
         t, h = arcs[i]
+        if outdeg[t] == 1 or indeg[h] == 1:
+            continue
         seen = bytearray(n)
         seen[t] = 1
         stack = [t]
@@ -194,15 +203,20 @@ def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optiona
 
 
 def _indexed_arcs(d: Orientation) -> Tuple[int, List[int], List[Tuple[int, int]]]:
-    """(n, edge ids, arcs) of d for the kernel; arc i runs along edge ids[i]."""
-    index = {v: i for i, v in enumerate(d._out)}
-    edges: List[int] = []
-    arcs: List[Tuple[int, int]] = []
-    for t, out in d._out.items():
-        for h, e in out:
-            edges.append(e)
-            arcs.append((index[t], index[h]))
-    return len(index), edges, arcs
+    """(n, edge ids, arcs) of d for the kernel; arc i runs along edge ids[i].
+
+    Built on first use and kept on d, which is immutable.
+    """
+    if d._indexed is None:
+        index = {v: i for i, v in enumerate(d._out)}
+        edges: List[int] = []
+        arcs: List[Tuple[int, int]] = []
+        for t, out in d._out.items():
+            for h, e in out:
+                edges.append(e)
+                arcs.append((index[t], index[h]))
+        d._indexed = (len(index), edges, arcs)
+    return d._indexed
 
 
 def _deletable_among(d: Orientation, f: Sequence[int]) -> Optional[FrozenSet[int]]:

@@ -42,6 +42,12 @@ def test_frank_exact_petersen(capsys):
     assert "f = 3" in out
 
 
+def test_frank_exact_moebius_kantor_with_raised_limit(capsys):
+    code, out, _ = run(capsys, "frank", "--exact", "corpus:moebius_kantor", "--limit-edges", "24")
+    assert code == 0
+    assert "f = 2" in out
+
+
 def test_frank_pipeline_and_verify(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, out, _ = run(capsys, "frank", "--pipeline", "esse4", "corpus:petersen",

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from oracles import (
     brute_deletable_profiles,
     brute_frank_number,
     closure_strongly_connected,
+    generalized_petersen_pairs,
 )
 
 
@@ -144,6 +147,69 @@ def test_determinism_of_certificates():
     _, cert1 = frank_number_exact(g)
     _, cert2 = frank_number_exact(g)
     assert cert1.to_json() == cert2.to_json()
+
+
+# -- early stop at the lower bound ----------------------------------------------------
+
+# SHA-256 of json.dumps(cert.to_json(), sort_keys=True) for Petersen (f = 3 > 2):
+# the scan runs to its end and the set cover picks the certificate
+PETERSEN_CERT_SHA256 = "fc149aac399adf7fdace8d2bf671c7edaa651f8d377e9c29fe8544a37e8a41bd"
+
+
+def seeded_graphs(max_edges):
+    rng = random.Random(2019)
+    graphs = [named_graph(name) for name in corpus_names()]
+    graphs += [random_cubic_3ec(rng, n) for n in (4, 6, 6, 8, 8, 10, 10, 12)]
+    graphs.append(Multigraph.from_pairs(generalized_petersen_pairs(6, 2)))
+    return [g for g in graphs if g.num_edges <= max_edges]
+
+
+def no_full_cover(monkeypatch):
+    def fail(kern, profiles):
+        raise AssertionError("the scan ran to its end")
+
+    monkeypatch.setattr(exact, "_maximal_cover", fail)
+
+
+def test_exact_matches_brute_frank_number_up_to_12_edges():
+    graphs = seeded_graphs(12)
+    assert len(graphs) >= 12
+    for g in graphs:
+        assert frank_number_exact(g)[0] == brute_frank_number(g.vertices, as_edges(g)), g
+
+
+def test_exact_matches_full_scan_cover_up_to_18_edges():
+    graphs = seeded_graphs(18)
+    assert len(graphs) >= 15
+    for g in graphs:
+        kern, profiles = exact._scan_deletable_profiles(g, SolveLimits())
+        full = exact._min_cover((1 << kern.m) - 1, list(profiles))
+        assert frank_number_exact(g)[0] == len(full), g
+
+
+@pytest.mark.parametrize("name,bound", [("k4", 2), ("k5", 1), ("cube", 2), ("prism3", 2),
+                                        ("wheel5", 2), ("double_k4", 2), ("hub_triangles", 2)])
+def test_early_stop_certificate_has_lower_bound_size(monkeypatch, name, bound):
+    g = named_graph(name)
+    no_full_cover(monkeypatch)
+    k, cert = frank_number_exact(g)
+    assert k == len(cert.orientations) == frank_lower_bound(g) == bound
+    assert verify_certificate(g, cert) == (True, frozenset())
+
+
+def test_petersen_certificate_pinned():
+    _, cert = frank_number_exact(named_graph("petersen"))
+    blob = json.dumps(cert.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PETERSEN_CERT_SHA256
+
+
+def test_moebius_kantor_above_default_limit_is_two():
+    g = named_graph("moebius_kantor")
+    with pytest.raises(GraphTooLargeError):
+        frank_number_exact(g)
+    k, cert = frank_number_exact(g, SolveLimits(max_enumerable_edges=24))
+    assert k == len(cert.orientations) == 2
+    assert verify_certificate(g, cert) == (True, frozenset())
 
 
 # -- deletability decisions -----------------------------------------------------------
