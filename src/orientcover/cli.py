@@ -21,7 +21,6 @@ from .exact import (
     Status,
     certificate_from_json,
     deletability_decide,
-    frank_lower_bound,
     frank_number_exact,
     verify_certificate,
 )
@@ -68,8 +67,12 @@ def _load_gadget(path: str) -> reduction.GadgetInstance:
     obj = _load_json(path)
     try:
         formula = obj["formula"]
-        f = reduction.NaeFormula(
-            formula["numVars"], tuple(frozenset(c) for c in formula["clauses"]))
+        num_vars, clauses = formula["numVars"], tuple(frozenset(c) for c in formula["clauses"])
+        if not all(isinstance(x, int) for x in (num_vars, *(x for c in clauses for x in c))):
+            raise TypeError("numVars and the clause variables must be integers")
+        if num_vars > 3 * len(clauses):  # each variable occurs in a 3-clause
+            raise ValueError(f"numVars {num_vars} exceeds 3 per clause")
+        f = reduction.NaeFormula(num_vars, clauses)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed gadget JSON: {exc!r}") from None
     return reduction.build_gadget(f)
@@ -122,7 +125,7 @@ def _cmd_frank(args) -> int:
         return 0
     limits = SolveLimits(max_enumerable_edges=args.limit_edges)
     k, cert = frank_number_exact(g, limits)
-    lower = frank_lower_bound(g)
+    lower = min(k, 2)  # f = 1 iff λ ≥ 4 (Nash-Williams); otherwise the bound is 2
     payload = cert.to_json()
     payload["frankNumber"] = k
     payload["lowerBound"] = lower

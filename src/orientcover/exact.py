@@ -14,9 +14,13 @@ exhaustion is a distinct outcome, never conflated with "no".  The search
 leaves, the profile scan and certificate verification all run the one
 reachability kernel of the orientation module (`_strong`, `_deletable_mask`).
 
-The exact Frank number scans the strong orientations for their distinct
-deletable-arc sets, and stops as soon as those seen hold a cover of
-lower-bound size; only a scan that runs to the end needs the set cover.
+One decision core, `_decide`, serves `deletability_decide` and the exact
+Frank number.  With edge connectivity 4 or more, one decision over every
+edge gives f = 1.  With edge connectivity 3, the Frank number scans the
+strong orientations for their distinct deletable-arc sets and decides, for
+each new set, whether one other orientation makes the rest deletable; the
+first yes gives f = 2.  Only a scan that runs to the end (f ≥ 3) needs the
+set cover.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def certificate_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Fran
         orientations = tuple(
             orientation_from_json(rec, graph) for rec in obj["orientations"])
         cover = {int(e): int(i) for e, i in obj["cover"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed certificate JSON: {exc}") from None
     return FrankCertificate(orientations, cover)
 
@@ -128,6 +132,11 @@ class _Kernel:
         self.v = [self.vindex[g.ends(e)[1]] for e in self.edges]
         self.n = len(self.vertices)
         self.m = len(self.edges)
+        stars = [0] * self.n  # bitmask of the edges at each vertex
+        for i in range(self.m):
+            stars[self.u[i]] |= 1 << i
+            stars[self.v[i]] |= 1 << i
+        self.small_stars = [star for star in stars if bin(star).count("1") < 4]
 
     def arcs_of(self, mask: int) -> List[Tuple[int, int]]:
         out = []
@@ -279,21 +288,37 @@ def _search(
     return Status.NO, 0, nodes
 
 
+def _decide(
+    kern: _Kernel, order: Callable[[], Sequence[int]], sbit: int, budget: Optional[int],
+) -> Tuple[Status, int, int]:
+    """`_search` for an orientation mask in which every edge of the bitmask `sbit` is deletable.
+
+    A vertex with fewer than four edges, all of them in `sbit`, gives NO in
+    0 nodes: deleting any one of its arcs must leave it an in-arc and an
+    out-arc, so it needs two of each.  Only then is the edge order `order()`
+    asked for, since it may cost max flows.
+    """
+    n = kern.n
+    if n >= 2 and any(star & sbit == star for star in kern.small_stars):
+        return Status.NO, 0, 0
+    s_idx = [i for i in range(kern.m) if (sbit >> i) & 1]
+
+    def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
+        return _deletable_mask(n, arcs, s_idx) & sbit == sbit
+
+    return _search(kern, order(), sbit, budget, all_deletable)
+
+
 def _scan_deletable_profiles(
-    g: Multigraph, limits: SolveLimits, stop: Optional[Callable[[int, int], bool]] = None,
-) -> Tuple[_Kernel, Dict[int, int]]:
+    kern: _Kernel, stop: Optional[Callable[[int, int], bool]] = None,
+) -> Dict[int, int]:
     """All distinct deletable-arc masks with their smallest orientation mask.
 
     Edges are searched in index order, so edge 0 keeps its natural direction.
-    Each new mask is handed to `stop(mask, rest)`, with `rest` the edges
-    outside it, as soon as it is recorded; the scan ends at the first one
-    it accepts, with only the masks seen so far.
+    Each new mask is handed to `stop(mask, orientation mask)`, with the
+    orientation that first gave it, as soon as it is recorded; the scan ends
+    at the first one it accepts, with only the masks seen so far.
     """
-    kern = _Kernel(g)
-    if kern.m > limits.max_enumerable_edges:
-        raise GraphTooLargeError(
-            f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
-    universe = (1 << kern.m) - 1
     profiles: Dict[int, int] = {}
 
     def record(mask: int, arcs: List[Tuple[int, int]]) -> bool:
@@ -303,10 +328,10 @@ def _scan_deletable_profiles(
                 profiles[dmask] = mask
             return False
         profiles[dmask] = mask
-        return stop is not None and stop(dmask, universe & ~dmask)
+        return stop is not None and stop(dmask, mask)
 
     _search(kern, range(kern.m), 0, None, record)
-    return kern, profiles
+    return profiles
 
 
 # -- minimum set cover -------------------------------------------------------------
@@ -335,14 +360,9 @@ def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
     best_sol = greedy
     max_size = max(bin(m).count("1") for m in masks)
 
-    covers_of: Dict[int, List[int]] = {}
-    bit = 1
-    pos = 0
-    while bit <= universe:
-        if universe & bit:
-            covers_of[pos] = [i for i, m in enumerate(masks) if m & bit]
-        bit <<= 1
-        pos += 1
+    covers_of = {pos: [i for i, m in enumerate(masks) if (m >> pos) & 1]
+                 for pos in range(universe.bit_length()) if (universe >> pos) & 1}
+    fewest_first = sorted(covers_of, key=lambda pos: len(covers_of[pos]))  # stable: ties by pos
 
     chosen: List[int] = []
 
@@ -355,18 +375,9 @@ def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
         lower = len(chosen) + -(-bin(left).count("1") // max_size)
         if lower >= len(best_sol):
             return
-        pos = 0
-        probe = left
-        target = None
-        fewest = None
-        while probe:
-            if probe & 1:
-                k = len(covers_of[pos])
-                if fewest is None or k < fewest:
-                    fewest = k
-                    target = pos
-            probe >>= 1
-            pos += 1
+        for target in fewest_first:
+            if (left >> target) & 1:
+                break
         for i in covers_of[target]:
             chosen.append(i)
             dfs(left & ~masks[i])
@@ -415,64 +426,47 @@ def frank_lower_bound(g: Multigraph) -> int:
 def frank_number_exact(
     g: Multigraph, limits: SolveLimits = DEFAULT_LIMITS
 ) -> Tuple[int, FrankCertificate]:
-    """Exact Frank number: a scan of the strong orientations plus exact set cover.
+    """Exact Frank number, stopped at the first certificate of lower-bound size.
 
-    The scan stops at the first new deletable-arc set that, with at most one
-    set seen before it, covers every edge in `frank_lower_bound(g)` sets:
-    no cover is smaller, so those sets are the certificate, first seen
-    first.  Otherwise the scan runs through every strong orientation, and
-    an exact set cover over the maximal deletable sets picks the
-    certificate.
+    When λ ≥ 4, Nash-Williams' theorem gives a 2-arc-connected orientation,
+    which one decision with every arc in the set finds: f = 1.  When λ = 3,
+    f = 2 exactly when some strong orientation D1 leaves the edges outside
+    its deletable set P deletable in one other orientation.  The scan of the
+    strong orientations decides that for each new P and stops at the first
+    yes, with D1 and the witness.  Only when every P fails (f ≥ 3) does the
+    scan run to its end, and an exact set cover over the maximal deletable
+    sets picks the certificate.  The edge limit bounds every search.
     """
     lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
     if lam < 3:
         raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
-    bound = 2 if lam == 3 else 1  # frank_lower_bound
-    # seen[k] is the k-th deletable set of the scan; holders[j] has bit k set
-    # when seen[k] contains edge j, so some seen set contains the edges
-    # outside a new one exactly when the AND of those edges' holders is nonzero
-    seen: List[int] = []
-    holders = [0] * g.num_edges
-    early: List[int] = []
-
-    def completes_cover(dmask: int, rest: int) -> bool:
-        if not rest:
-            early.append(dmask)
-            return True
-        if bound == 1:
-            return False
-        common = (1 << len(seen)) - 1
-        j = 0
-        while rest and common:
-            if rest & 1:
-                common &= holders[j]
-            rest >>= 1
-            j += 1
-        if common:
-            early.extend((seen[(common & -common).bit_length() - 1], dmask))
-            return True
-        for j in range(len(holders)):
-            if (dmask >> j) & 1:
-                holders[j] |= 1 << len(seen)
-        seen.append(dmask)
-        return False
-
-    kern, profiles = _scan_deletable_profiles(g, limits, completes_cover)
-    if early:
-        chosen = [(dmask, profiles[dmask]) for dmask in early]
+    kern = _Kernel(g)
+    if kern.m > limits.max_enumerable_edges:
+        raise GraphTooLargeError(
+            f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
+    universe = (1 << kern.m) - 1
+    if lam >= 4:
+        status, omask, _ = _decide(kern, lambda: range(kern.m), universe, None)
+        if status is not Status.FOUND:
+            raise InternalVerificationError(
+                "no 2-arc-connected orientation of a graph with edge connectivity 4 or more")
+        chosen = [(universe, omask)]
     else:
-        chosen = _maximal_cover(kern, profiles)
+        early: List[Tuple[int, int]] = []
+
+        def completes(dmask: int, omask: int) -> bool:
+            status, witness, _ = _decide(kern, lambda: range(kern.m), universe & ~dmask, None)
+            if status is Status.FOUND:
+                early.extend(((dmask, omask), (universe & ~dmask, witness)))
+            return status is Status.FOUND
+
+        profiles = _scan_deletable_profiles(kern, completes)
+        chosen = early or _maximal_cover(kern, profiles)
     orientations = tuple(kern.orientation_of(omask) for _, omask in chosen)
-    cover: Dict[int, int] = {}
-    for e in g.edge_ids:
-        if g.is_loop(e):
-            cover[e] = 0
-            continue
-        i = kern.eindex[e]
-        for k, (dmask, _) in enumerate(chosen):
-            if (dmask >> i) & 1:
-                cover[e] = k
-                break
+    # each edge goes to the first chosen set that holds it; loops to index 0
+    cover = {e: 0 if g.is_loop(e) else next(
+        k for k, (dmask, _) in enumerate(chosen) if (dmask >> kern.eindex[e]) & 1)
+        for e in g.edge_ids}
     cert = FrankCertificate(orientations, cover)
     ok, bad = verify_certificate(g, cert)
     if not ok:
@@ -490,10 +484,8 @@ def deletability_decide(
     `limits.node_budget` nodes above it; a budget exhaustion is reported as
     INDETERMINATE.  Any FOUND answer carries a witness re-verified with
     is_deletable_set; a witness that fails raises InternalVerificationError.
-
-    Before the search, a vertex whose non-loop edges all lie in s and number
-    fewer than four answers NO in 0 nodes: deleting any one of its arcs must
-    leave it an in-arc and an out-arc, so it needs two of each.
+    A vertex with fewer than four non-loop edges, all in s, gives NO in 0
+    nodes (see `_decide`).
     """
     sset = frozenset(s)
     for e in sset:
@@ -501,25 +493,19 @@ def deletability_decide(
             raise PreconditionError(f"unknown edge {e} in the requested set")
     if not g.is_connected():
         raise PreconditionError("deletability needs a connected graph")
-    if g.num_vertices >= 2:
-        for v in g.vertices:
-            arcs = [e for e in g.incident_edges(v) if not g.is_loop(e)]
-            if len(arcs) < 4 and sset.issuperset(arcs):
-                return DecideResult(Status.NO)
     kern = _Kernel(g)
-    s_idx = [kern.eindex[e] for e in sset if not g.is_loop(e)]
     sbit = 0
-    for i in s_idx:
-        sbit |= 1 << i
-    # edges on small cuts first: they carry the tightest constraints
-    lam_key = g._edge_lambdas(kern.edges)
-    order = sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
+    for e in sset:
+        if not g.is_loop(e):
+            sbit |= 1 << kern.eindex[e]
+
+    def lambda_order() -> Sequence[int]:
+        # edges on small cuts first: they carry the tightest constraints
+        lam_key = g._edge_lambdas(kern.edges)
+        return sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
+
     budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
-
-    def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
-        return _deletable_mask(kern.n, arcs, s_idx) & sbit == sbit
-
-    status, mask, nodes = _search(kern, order, sbit, budget, all_deletable)
+    status, mask, nodes = _decide(kern, lambda_order, sbit, budget)
     if status is not Status.FOUND:
         return DecideResult(status, None, nodes)
     witness = kern.orientation_of(mask)

@@ -144,7 +144,7 @@ def graph_from_json(obj: Dict, cap: Optional[SizeCap] = DEFAULT_CAP) -> Multigra
     try:
         vertices = [int(v) for v in obj["vertices"]]
         edges = {int(rec["id"]): (int(rec["u"]), int(rec["v"])) for rec in obj["edges"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed graph JSON: {exc}") from None
     if len(edges) != len(obj["edges"]):
         raise FormatError("duplicate edge ids in graph JSON")

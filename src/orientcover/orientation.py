@@ -130,7 +130,7 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
             graph = graph_from_json(ref, cap=None)
     try:
         tails = {int(e): int(t) for e, t in obj["tails"].items()}
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+    except (KeyError, AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed orientation JSON: {exc}") from None
     return Orientation(graph, tails)
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from orientcover.cli import build_parser, main
-from orientcover.exact import DEFAULT_LIMITS
+from orientcover.corpus import corpus_names, named_graph
+from orientcover.exact import DEFAULT_LIMITS, frank_lower_bound
 from orientcover.reduction import PAPER_EXAMPLE
 
 
@@ -46,6 +47,20 @@ def test_frank_exact_moebius_kantor_with_raised_limit(capsys):
     code, out, _ = run(capsys, "frank", "--exact", "corpus:moebius_kantor", "--limit-edges", "24")
     assert code == 0
     assert "f = 2" in out
+
+
+def test_frank_exact_lower_bound_matches_library(capsys):
+    # the CLI reads the bound off the verified f instead of recomputing λ
+    checked = 0
+    for name in corpus_names():
+        g = named_graph(name)
+        if g.num_edges > DEFAULT_LIMITS.max_enumerable_edges:
+            continue
+        code, out, _ = run(capsys, "--format", "json", "frank", "--exact", f"corpus:{name}")
+        assert code == 0, name
+        assert json.loads(out)["lowerBound"] == frank_lower_bound(g), name
+        checked += 1
+    assert checked >= 11
 
 
 def test_frank_pipeline_and_verify(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_profile_scan_matches_plain_enumeration():
     for g in graphs:
         if g.num_edges > 18:
             continue
-        _, profiles = exact._scan_deletable_profiles(g, SolveLimits())
+        profiles = exact._scan_deletable_profiles(exact._Kernel(g))
         assert profiles == brute_deletable_profiles(g.vertices, as_edges(g)), g
         scanned += 1
     assert scanned >= 15
@@ -182,19 +182,82 @@ def test_exact_matches_full_scan_cover_up_to_18_edges():
     graphs = seeded_graphs(18)
     assert len(graphs) >= 15
     for g in graphs:
-        kern, profiles = exact._scan_deletable_profiles(g, SolveLimits())
+        kern = exact._Kernel(g)
+        profiles = exact._scan_deletable_profiles(kern)
         full = exact._min_cover((1 << kern.m) - 1, list(profiles))
         assert frank_number_exact(g)[0] == len(full), g
 
 
+def keyed_graph(key):
+    """A corpus graph by name, gp(n,k) as "gp:n,k", or seeded cubic as "random:n:seed"."""
+    kind, _, rest = key.partition(":")
+    if kind == "gp":
+        return Multigraph.from_pairs(generalized_petersen_pairs(*map(int, rest.split(","))))
+    if kind == "random":
+        n, seed = map(int, rest.split(":"))
+        return random_cubic_3ec(random.Random(seed), n)
+    return named_graph(key)
+
+
 @pytest.mark.parametrize("name,bound", [("k4", 2), ("k5", 1), ("cube", 2), ("prism3", 2),
-                                        ("wheel5", 2), ("double_k4", 2), ("hub_triangles", 2)])
+                                        ("wheel5", 2), ("double_k4", 2), ("hub_triangles", 2),
+                                        ("gp:6,2", 2), ("random:10:41", 2)])
 def test_early_stop_certificate_has_lower_bound_size(monkeypatch, name, bound):
-    g = named_graph(name)
+    g = keyed_graph(name)
     no_full_cover(monkeypatch)
     k, cert = frank_number_exact(g)
     assert k == len(cert.orientations) == frank_lower_bound(g) == bound
     assert verify_certificate(g, cert) == (True, frozenset())
+
+
+def test_full_cover_runs_only_above_the_lower_bound(monkeypatch):
+    # the scan runs to its end, and the set cover picks the certificate,
+    # exactly when no certificate of lower-bound size exists
+    full = exact._maximal_cover
+    calls = []
+
+    def counted(kern, profiles):
+        calls.append(len(profiles))
+        return full(kern, profiles)
+
+    monkeypatch.setattr(exact, "_maximal_cover", counted)
+    cases = [(g, SolveLimits()) for g in seeded_graphs(18)]
+    cases.append((named_graph("moebius_kantor"), SolveLimits(max_enumerable_edges=24)))
+    above = 0
+    for g, limits in cases:
+        calls.clear()
+        k, cert = frank_number_exact(g, limits)
+        assert len(calls) == (k > frank_lower_bound(g)), g
+        assert k == len(cert.orientations)
+        assert verify_certificate(g, cert) == (True, frozenset()), g
+        above += bool(calls)
+    assert len(cases) >= 16 and above >= 1
+
+
+def test_completion_decision_matches_brute_force():
+    # the scan asks _decide whether the edges outside a deletable set P can be
+    # deletable in one orientation; a fixed sample of profiles per graph
+    rng = random.Random(4409)
+    graphs = [named_graph(name) for name in ("k4", "prism3", "cube", "k33")]
+    graphs += [random_cubic_3ec(rng, 8) for _ in range(2)]
+    answers = {Status.FOUND: 0, Status.NO: 0}
+    searched = 0
+    for g in graphs:
+        kern = exact._Kernel(g)
+        universe = (1 << kern.m) - 1
+        profiles = sorted(exact._scan_deletable_profiles(kern))
+        # brute force enumerates all 2^m orientations per NO: fewer samples at 12 edges
+        for dmask in rng.sample(profiles, min(len(profiles), 20 if kern.m < 12 else 8)):
+            rest = universe & ~dmask
+            status, mask, nodes = exact._decide(kern, lambda: range(kern.m), rest, None)
+            s = {kern.edges[i] for i in range(kern.m) if (rest >> i) & 1}
+            expected = brute_deletability(g.vertices, as_edges(g), s) is not None
+            assert status is (Status.FOUND if expected else Status.NO), (g, dmask)
+            if expected:
+                assert is_deletable_set(kern.orientation_of(mask), s)
+            answers[status] += 1
+            searched += nodes > 0
+    assert answers[Status.FOUND] >= 20 and answers[Status.NO] >= 20 and searched >= 30, answers
 
 
 def test_petersen_certificate_pinned():
