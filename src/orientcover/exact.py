@@ -1,18 +1,19 @@
 """Exact solvers: deletability decisions, exact Frank numbers, certificates.
 
 One depth-first search over edge directions serves both solvers and the
-well-balanced fallback of the orientation module.  It walks the
-orientations up to global reversal, with the first edge's direction pinned
-since deletable sets are reversal-invariant, and cuts a branch as soon
-as a vertex with all of its edges directed is a source, a sink, or is cut off
-by deleting one arc of the requested set.  A vertex left with one undirected
-edge forces that edge's direction when only one direction can pass the same
-test, and cuts the branch when neither can; this removes only dead subtrees,
-so every leaf is reached in the same order as without it.  Every answer
-ships a witness that is re-verified by direct deletion checks; budget
-exhaustion is a distinct outcome, never conflated with "no".  The search
-leaves, the profile scan and certificate verification all run the one
-reachability kernel of the orientation module (`_strong`, `_deletable_mask`).
+well-balanced fallback of the orientation module.  It branches on the edges
+in id order and walks the orientations up to global reversal, with the
+first edge's direction pinned since deletable sets are reversal-invariant,
+and cuts a branch as soon as a vertex with all of its edges directed is a
+source, a sink, or is cut off by deleting one arc of the requested set.  A
+vertex left with one undirected edge forces that edge's direction when only
+one direction can pass the same test, and cuts the branch when neither can;
+this removes only dead subtrees, so every leaf is reached in the same order
+as without it.  Every answer ships a witness that is re-verified by direct
+deletion checks; budget exhaustion is a distinct outcome, never conflated
+with "no".  The search leaves, the profile scan and certificate verification
+all run the one reachability kernel of the orientation module (`_strong`,
+`_deletable_mask`).
 
 One decision core, `_decide`, serves `deletability_decide` and the exact
 Frank number.  With edge connectivity 4 or more, one decision over every
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     CertificateMismatchError,
@@ -156,22 +157,22 @@ class _Kernel:
 
 
 def _search(
-    kern: _Kernel, order: Sequence[int], sbit: int, budget: Optional[int],
+    kern: _Kernel, sbit: int, budget: Optional[int],
     leaf: Callable[[int, List[Tuple[int, int]]], bool],
 ) -> Tuple[Status, int, int]:
-    """Depth-first search over edge directions, taken in `order`.
+    """Depth-first search over edge directions, taken in kernel index order.
 
-    Bit i of an orientation mask reverses edge i; the first edge of `order`
-    keeps its natural direction.  A vertex whose edges are all directed is
-    ok when it has an in-arc and an out-arc, and neither its only in-arc nor
-    its only out-arc lies in the bitmask `sbit`; a branch is cut as soon as
-    a finished vertex is not ok.
+    Bit i of an orientation mask reverses edge i; edge 0 keeps its natural
+    direction.  A vertex whose edges are all directed is ok when it has an
+    in-arc and an out-arc, and neither its only in-arc nor its only out-arc
+    lies in the bitmask `sbit`; a branch is cut as soon as a finished vertex
+    is not ok.
 
     Directions also propagate.  After each edge is directed, an end x of it
     with exactly one undirected edge left has both directions of that edge
     tested by the same rule (at x, and at the edge's other end if that end
     is then finished).  If neither passes, the branch is cut; if one passes,
-    the edge takes it at once, ahead of `order`, and the rule is applied
+    the edge takes it at once, ahead of its turn, and the rule is applied
     again at its other end.  Later the search takes such a forced edge
     without branching.  Only subtrees without a leaf whose vertices are all
     ok are cut, so the leaves are visited in the same order as without
@@ -179,10 +180,10 @@ def _search(
 
     Each strongly connected leaf is handed to `leaf(mask, arcs)`, and the
     search stops at the first leaf it accepts.  A node is one call of the
-    recursive step: it branches on the next unforced edge of `order`, or
-    evaluates a leaf; forced edges cost no node.  Returns (status, accepted
-    mask or 0, nodes visited); a search that needs more than `budget` nodes
-    ends INDETERMINATE.
+    recursive step: it branches on the next unforced edge, or evaluates a
+    leaf; forced edges cost no node.  Returns (status, accepted mask or 0,
+    nodes visited); a search that needs more than `budget` nodes ends
+    INDETERMINATE.
     """
     n, m, us, vs = kern.n, kern.m, kern.u, kern.v
     limit = float("inf") if budget is None else budget
@@ -251,27 +252,26 @@ def _search(
             stack.append(y)
         return True
 
-    def rec(pos: int, mask: int) -> bool:
+    def rec(i: int, mask: int) -> bool:
         nonlocal nodes, found
         nodes += 1
         if nodes > limit:
             return False
-        while pos < m and direction[order[pos]] >= 0:  # forced ahead of order
-            mask |= direction[order[pos]] << order[pos]
-            pos += 1
-        if pos == m:
+        while i < m and direction[i] >= 0:  # forced ahead of its turn
+            mask |= direction[i] << i
+            i += 1
+        if i == m:
             arcs = kern.arcs_of(mask)
             if _strong(n, arcs) and leaf(mask, arcs):
                 found = mask
                 return True
             return False
-        i = order[pos]
-        for bit in ((0,) if pos == 0 else (0, 1)):
+        for bit in ((0,) if i == 0 else (0, 1)):
             t, h = shift(i, bit, 1)
             mark = len(trail)
             good = (undecided[t] > 0 or vertex_ok(t)) and (undecided[h] > 0 or vertex_ok(h))
             if good and (undecided[t] != 1 and undecided[h] != 1 or propagate([t, h])):
-                if rec(pos + 1, mask | bit << i):
+                if rec(i + 1, mask | bit << i):
                     return True
             while len(trail) > mark:
                 j = trail.pop()
@@ -288,15 +288,12 @@ def _search(
     return Status.NO, 0, nodes
 
 
-def _decide(
-    kern: _Kernel, order: Callable[[], Sequence[int]], sbit: int, budget: Optional[int],
-) -> Tuple[Status, int, int]:
+def _decide(kern: _Kernel, sbit: int, budget: Optional[int]) -> Tuple[Status, int, int]:
     """`_search` for an orientation mask in which every edge of the bitmask `sbit` is deletable.
 
     A vertex with fewer than four edges, all of them in `sbit`, gives NO in
     0 nodes: deleting any one of its arcs must leave it an in-arc and an
-    out-arc, so it needs two of each.  Only then is the edge order `order()`
-    asked for, since it may cost max flows.
+    out-arc, so it needs two of each.
     """
     n = kern.n
     if n >= 2 and any(star & sbit == star for star in kern.small_stars):
@@ -306,7 +303,7 @@ def _decide(
     def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
         return _deletable_mask(n, arcs, s_idx) & sbit == sbit
 
-    return _search(kern, order(), sbit, budget, all_deletable)
+    return _search(kern, sbit, budget, all_deletable)
 
 
 def _scan_deletable_profiles(
@@ -314,7 +311,7 @@ def _scan_deletable_profiles(
 ) -> Dict[int, int]:
     """All distinct deletable-arc masks with their smallest orientation mask.
 
-    Edges are searched in index order, so edge 0 keeps its natural direction.
+    Edge 0 keeps its natural direction, as in every `_search`.
     Each new mask is handed to `stop(mask, orientation mask)`, with the
     orientation that first gave it, as soon as it is recorded; the scan ends
     at the first one it accepts, with only the masks seen so far.
@@ -330,7 +327,7 @@ def _scan_deletable_profiles(
         profiles[dmask] = mask
         return stop is not None and stop(dmask, mask)
 
-    _search(kern, range(kern.m), 0, None, record)
+    _search(kern, 0, None, record)
     return profiles
 
 
@@ -446,7 +443,7 @@ def frank_number_exact(
             f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
     universe = (1 << kern.m) - 1
     if lam >= 4:
-        status, omask, _ = _decide(kern, lambda: range(kern.m), universe, None)
+        status, omask, _ = _decide(kern, universe, None)
         if status is not Status.FOUND:
             raise InternalVerificationError(
                 "no 2-arc-connected orientation of a graph with edge connectivity 4 or more")
@@ -455,7 +452,7 @@ def frank_number_exact(
         early: List[Tuple[int, int]] = []
 
         def completes(dmask: int, omask: int) -> bool:
-            status, witness, _ = _decide(kern, lambda: range(kern.m), universe & ~dmask, None)
+            status, witness, _ = _decide(kern, universe & ~dmask, None)
             if status is Status.FOUND:
                 early.extend(((dmask, omask), (universe & ~dmask, witness)))
             return status is Status.FOUND
@@ -480,7 +477,8 @@ def deletability_decide(
 ) -> DecideResult:
     """Search for an orientation in which every edge of s is deletable.
 
-    The search has no node budget up to the edge limit and stops after
+    The search branches on the edges in id order and needs no max flow.  It
+    has no node budget up to the edge limit and stops after
     `limits.node_budget` nodes above it; a budget exhaustion is reported as
     INDETERMINATE.  Any FOUND answer carries a witness re-verified with
     is_deletable_set; a witness that fails raises InternalVerificationError.
@@ -498,14 +496,8 @@ def deletability_decide(
     for e in sset:
         if not g.is_loop(e):
             sbit |= 1 << kern.eindex[e]
-
-    def lambda_order() -> Sequence[int]:
-        # edges on small cuts first: they carry the tightest constraints
-        lam_key = g._edge_lambdas(kern.edges)
-        return sorted(range(kern.m), key=lambda i: (lam_key[i], kern.edges[i]))
-
     budget = None if kern.m <= limits.max_enumerable_edges else limits.node_budget
-    status, mask, nodes = _decide(kern, lambda_order, sbit, budget)
+    status, mask, nodes = _decide(kern, sbit, budget)
     if status is not Status.FOUND:
         return DecideResult(status, None, nodes)
     witness = kern.orientation_of(mask)

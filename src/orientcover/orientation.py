@@ -116,6 +116,8 @@ class Orientation:
 def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orientation:
     from .graphio import graph_from_json
 
+    if not isinstance(obj, dict):
+        raise FormatError("orientation JSON must be an object")
     if graph is None:
         if "graph" not in obj:
             raise FormatError("orientation JSON carries no graph and none was supplied")
@@ -571,8 +573,7 @@ def _searched_well_balanced(g: Multigraph) -> Orientation:
         lam = h._flow_tree()
         budget = None if kern.m <= DEFAULT_LIMITS.max_enumerable_edges else DEFAULT_LIMITS.node_budget
         status, mask, _ = _search(
-            kern, range(kern.m), 0, budget,
-            lambda mask, arcs: is_well_balanced(h, kern.orientation_of(mask), lam))
+            kern, 0, budget, lambda mask, arcs: is_well_balanced(h, kern.orientation_of(mask), lam))
         if status is Status.INDETERMINATE:
             raise SearchExhaustedError("well-balanced orientation search ran out of nodes")
         if status is Status.NO:  # pragma: no cover - Nash-Williams' theorem

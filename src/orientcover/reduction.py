@@ -169,10 +169,6 @@ class VariableCycle:
     b_side: Tuple[int, ...]
     edge_ids: Tuple[int, ...]
 
-    @property
-    def occurrence_count(self) -> int:
-        return len(self.a_side)
-
 
 @dataclass(frozen=True)
 class GadgetInstance:

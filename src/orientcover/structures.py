@@ -210,59 +210,36 @@ def perfect_matching(g: Multigraph) -> Optional[FrozenSet[int]]:
     return next(_matching_search(g), None)
 
 
-def enumerate_perfect_matchings(g: Multigraph, limit: Optional[int] = None) -> List[FrozenSet[int]]:
+def enumerate_perfect_matchings(g: Multigraph) -> List[FrozenSet[int]]:
     if g.num_vertices % 2:
         return []
-    out = []
-    for m in _matching_search(g):
-        out.append(m)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(_matching_search(g))
 
 
 def proper_3_edge_coloring(g: Multigraph) -> Optional[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]]:
     """Partition the edges of a cubic graph into three perfect matchings.
 
-    Backtracking over edges in id order; returns None when no proper
-    3-edge-coloring exists (loops make it immediately impossible).
+    Tait's equivalence: a cubic graph is 3-edge-colorable exactly when some
+    perfect matching M leaves E - M a union of even cycles, and the other two
+    classes then alternate around those cycles.  Returns M and the two
+    alternating classes for the first such M in the order of the
+    perfect-matching search, or None when there is none (loops make it
+    immediately impossible).  On a graph without a coloring, such as a snark,
+    every perfect matching is tried, so the worst case stays exponential.
     """
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; coloring needs a cubic graph")
     if any(g.is_loop(e) for e in g.edge_ids):
         return None
-    edges = list(g.edge_ids)
-    color: Dict[int, int] = {}
-    # symmetry break: the first vertex's three edges get colors 1, 2, 3
-    first = g.vertices[0]
-    forced = dict(zip(g.incident_edges(first), (1, 2, 3)))
-
-    def ok(e: int, c: int) -> bool:
-        u, v = g.ends(e)
-        for x in (u, v):
-            for f in g.incident_edges(x):
-                if f != e and color.get(f) == c:
-                    return False
-        return True
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return True
-        e = edges[i]
-        options = (forced[e],) if e in forced else (1, 2, 3)
-        for c in options:
-            if ok(e, c):
-                color[e] = c
-                if rec(i + 1):
-                    return True
-                del color[e]
-        return False
-
-    if not rec(0):
-        return None
-    classes = tuple(frozenset(e for e in edges if color[e] == c) for c in (1, 2, 3))
-    return classes  # type: ignore[return-value]
+    for m in _matching_search(g):
+        rest = frozenset(g.edge_ids) - m
+        cycles = cycles_from_edge_set(g, rest).cycles
+        if any(len(c) % 2 for c in cycles):
+            continue
+        a = frozenset(e for c in cycles for e in c.edges[::2])
+        return m, a, rest - a
+    return None
 
 
 @dataclass(frozen=True)

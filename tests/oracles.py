@@ -106,6 +106,56 @@ def generalized_petersen_pairs(n: int, k: int) -> List[Tuple[int, int]]:
     return [(min(u, v), max(u, v)) for u, v in pairs]
 
 
+def flower_snark_pairs(k: int) -> List[Tuple[int, int]]:
+    """Isaacs' flower snark J_k: vertices 4i..4i+3 are a_i, b_i, c_i, d_i for i < k.
+
+    a_i joins b_i, c_i and d_i; the b_i form one k-cycle, and the c_i and d_i
+    one 2k-cycle c_0 .. c_(k-1) d_0 .. d_(k-1).  Positions are the edge ids.
+    """
+    pairs = []
+    for i in range(k):
+        j = (i + 1) % k
+        a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        pairs += [(a, b), (a, c), (a, d), (b, 4 * j + 1)]
+        pairs += [(c, 4 * j + 2), (d, 4 * j + 3)] if j else [(c, 3), (d, 2)]
+    return pairs
+
+
+def backtrack_3_edge_coloring(vertices: Sequence[int], edges: Sequence[Edge]) -> Optional[Dict[int, int]]:
+    """A proper 3-edge-coloring {edge id: 1, 2 or 3} of a cubic graph, or None.
+
+    Backtracking over the edges in id order: the first vertex's edges take
+    colors 1, 2, 3 and every other edge tries each color not yet at its ends.
+    """
+    if any(u == v for _, u, v in edges):
+        return None
+    ends = {e: (u, v) for e, u, v in edges}
+    at: Dict[int, List[int]] = {v: [] for v in vertices}
+    for e, u, v in edges:
+        at[u].append(e)
+        at[v].append(e)
+    order = sorted(ends)
+    forced = dict(zip(sorted(at[min(vertices)]), (1, 2, 3)))
+    color: Dict[int, int] = {}
+
+    def ok(e: int, c: int) -> bool:
+        return all(color.get(f) != c for x in ends[e] for f in at[x] if f != e)
+
+    def rec(i: int) -> bool:
+        if i == len(order):
+            return True
+        e = order[i]
+        for c in (forced[e],) if e in forced else (1, 2, 3):
+            if ok(e, c):
+                color[e] = c
+                if rec(i + 1):
+                    return True
+                del color[e]
+        return False
+
+    return dict(color) if rec(0) else None
+
+
 def has_triangle(pairs: Sequence[Tuple[int, int]]) -> bool:
     adj: Dict[int, Set[int]] = {}
     for u, v in pairs:

@@ -24,6 +24,7 @@ from orientcover.orientation import (
     is_deletable_set,
     is_k_arc_connected,
 )
+from orientcover.reduction import PAPER_EXAMPLE, build_gadget, parse_formula
 
 from oracles import (
     brute_deletability,
@@ -249,7 +250,7 @@ def test_completion_decision_matches_brute_force():
         # brute force enumerates all 2^m orientations per NO: fewer samples at 12 edges
         for dmask in rng.sample(profiles, min(len(profiles), 20 if kern.m < 12 else 8)):
             rest = universe & ~dmask
-            status, mask, nodes = exact._decide(kern, lambda: range(kern.m), rest, None)
+            status, mask, nodes = exact._decide(kern, rest, None)
             s = {kern.edges[i] for i in range(kern.m) if (rest >> i) & 1}
             expected = brute_deletability(g.vertices, as_edges(g), s) is not None
             assert status is (Status.FOUND if expected else Status.NO), (g, dmask)
@@ -361,21 +362,23 @@ def test_decide_matches_brute_force_on_seeded_sets():
 def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
     # propagation may only cut subtrees without an acceptable leaf: the leaves
     # handed on are every strong orientation whose vertices all pass the
-    # finished-vertex rule, in depth-first order over `order`
+    # finished-vertex rule, in depth-first order over the edge ids; random
+    # relabellings of the edge ids check propagation across many orders
     rng = random.Random(3301)
     graphs = [named_graph(name) for name in ("k4", "theta", "prism3", "k33", "wheel4", "cube")]
     graphs += [random_cubic_3ec(rng, 8) for _ in range(2)]
     leaves = 0
     for g in graphs:
-        kern = exact._Kernel(g)
         for _ in range(3):
-            order = rng.sample(range(kern.m), kern.m)
+            ids = rng.sample(range(g.num_edges), g.num_edges)
+            h = Multigraph(g.vertices, {new: g.ends(e) for new, e in zip(ids, g.edge_ids)})
+            kern = exact._Kernel(h)
             sbit = sum(1 << i for i in rng.sample(range(kern.m), rng.randint(0, kern.m // 2)))
             reached = []
-            exact._search(kern, order, sbit, None, lambda mask, arcs: reached.append(mask))
+            exact._search(kern, sbit, None, lambda mask, arcs: reached.append(mask))
             expected = []
             for bits in itertools.product((0, 1), repeat=kern.m - 1):
-                mask = sum(b << i for b, i in zip(bits, order[1:]))
+                mask = sum(b << i for i, b in enumerate(bits, 1))
                 arcs = kern.arcs_of(mask)
                 ins = [[] for _ in range(kern.n)]
                 outs = [[] for _ in range(kern.n)]
@@ -386,9 +389,28 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
                          for x in range(kern.n) for side in (ins[x], outs[x]))
                 if ok and closure_strongly_connected(kern.n, arcs):
                     expected.append(mask)
-            assert reached == expected, (g, order, sbit)
+            assert reached == expected, (h, sbit)
             leaves += len(reached)
     assert leaves >= 100, leaves
+
+
+def test_decide_runs_no_max_flow(monkeypatch):
+    # the search branches in edge-id order, so a decision builds no flow tree
+    calls = []
+    flow_tree = Multigraph._flow_tree
+
+    def counted(self):
+        calls.append(self)
+        return flow_tree(self)
+
+    monkeypatch.setattr(Multigraph, "_flow_tree", counted)
+    cases = [(named_graph("petersen"), [5, 6, 7, 8, 9]), (named_graph("hub_triangles"), [8, 9, 11]),
+             (named_graph("prism3"), [6, 7, 8]), (named_graph("k5"), list(range(10)))]
+    inst = build_gadget(parse_formula(PAPER_EXAMPLE))
+    cases.append((inst.graph, inst.s))
+    for g, s in cases:
+        assert deletability_decide(g, s).nodes > 0
+    assert calls == []
 
 
 def test_decide_budget_indeterminate_distinct_from_no():

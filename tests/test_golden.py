@@ -1,24 +1,32 @@
-"""Byte-identity guard: every pipeline's artifact on a fixed graph set.
+"""Byte-identity guard: every pipeline's artifact on a fixed graph set, and
+deletability decisions on fixed targets.
 
 The SHA-256 of each `PipelineReport.to_json()`, serialized with
 `json.dumps(sort_keys=True)`, for the four pipelines on the corpus graphs and
 the generalized Petersen graphs gp(8,3) and gp(10,3).  A refusal is recorded
-as the class name of the exception raised.  A change that only makes the
-pipelines faster must leave every entry as it is; a change that moves an
-entry changes what the toolkit certifies and must say so.
+as the class name of the exception raised.  Each `deletability_decide` entry
+is its status, its node count and the SHA-256 of its witness JSON.  A change
+that only makes the pipelines or the search faster must leave every entry
+as it is; a change that moves an entry changes what the toolkit certifies
+and must say so.
 """
 
+import functools
 import hashlib
 import json
+import random
 
 import pytest
 
 from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import GraphToolkitError
+from orientcover.exact import deletability_decide
 from orientcover.multigraph import Multigraph
 from orientcover.pipelines import certify_bf5, certify_color3, certify_esse4, certify_upper7
+from orientcover.reduction import PAPER_EXAMPLE, build_gadget, fano_formula, parse_formula, preprocess
 
 from oracles import generalized_petersen_pairs
+from test_reduction import random_feasible_formula
 
 PIPELINES = {
     "seven": certify_upper7,
@@ -58,7 +66,7 @@ GOLDEN = {
     ("hub_triangles", "bf5"): "PreconditionError",
     ("k33", "seven"): "f32cd8e6442a9e01f84377eca0b92e1587361f1846a6a92e2e9c39af875eda18",
     ("k33", "esse4"): "523b3188c4a20a3aa838382781236a47ebe2aac5aa31196b7c320adac9c094fe",
-    ("k33", "color3"): "b022da89c2c36485df79baa3f6a7e0e58f8e80a38362a8a52cf05eb2211bdf29",
+    ("k33", "color3"): "5d702c9cc5f3e3fd9fa0720508eacedb86b5972bda6cce2a6b8ea42a56236ce7",
     ("k33", "bf5"): "c6e0b05bfe272c379519b9e71ab629da7ec354273309d366f24e8e2980381423",
     ("k4", "seven"): "749911bb0a97439acfaf1881ad57fb8484002fa44bc655677b5270bb8144c548",
     ("k4", "esse4"): "bf31625716aaadb7f6cc1abebae92d8ac871f462f902c092924908671e14d92f",
@@ -121,3 +129,108 @@ def test_golden_covers_every_graph_and_pipeline():
 def test_pipeline_artifact_unchanged(graph_name, pipeline):
     g = graph_by_name(graph_name)
     assert artifact_digest(PIPELINES[pipeline], g) == GOLDEN[(graph_name, pipeline)]
+
+
+# -- deletability decisions ---------------------------------------------------------
+
+# One known-yes and one known-no target per corpus graph; on graphs of at most
+# 15 edges both answers agree with oracles.brute_deletability.  k5 has no NO
+# target: with edge connectivity 4 it has a 2-arc-connected orientation, so
+# every set is deletable.  The NO targets of theta and hub_triangles are vertex
+# stars, refuted at the root in 0 nodes.
+DECIDE_TARGETS = {
+    "bipetersen": ([0, 6, 16, 17, 18, 25, 26], [14, 17, 18, 21, 22, 26]),
+    "cube": ([5, 8], [1, 2, 3, 6, 8, 10, 11]),
+    "double_k4": ([4, 5, 8, 11], [5, 7, 8, 11]),
+    "hub_triangles": ([8, 9, 11], [0, 1, 7]),
+    "k33": ([3, 6], [1, 2, 3, 7, 8]),
+    "k4": ([0, 1], [1, 2, 5]),
+    "k5": ([1, 5], None),
+    "moebius_kantor": ([1, 9, 11, 19], [2, 5, 9, 10, 11, 12, 13, 16, 21, 22]),
+    "petersen": ([0, 2, 5, 8, 12, 14], [0, 3, 5, 6, 7, 9, 11, 14]),
+    "prism3": ([0, 1, 4], [1, 5, 6, 7, 8]),
+    "theta": ([0, 1], [0, 1, 2]),
+    "wheel4": ([2, 5], [0, 1, 3, 5, 6]),
+    "wheel5": ([0, 1, 4, 5, 7], [0, 1, 2, 4, 7, 8]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def decide_instances():
+    """{key: (graph, target)}: the corpus targets, the paper and Fano gadgets,
+    and the seeded gadgets of test_reduction's 1,000-node test."""
+    out = {}
+    for name, targets in DECIDE_TARGETS.items():
+        for answer, s in zip(("yes", "no"), targets):
+            if s is not None:
+                out[f"{name}:{answer}"] = (named_graph(name), s)
+    for key, f in (("paper", parse_formula(PAPER_EXAMPLE)), ("fano", preprocess(fano_formula()))):
+        inst = build_gadget(f)
+        out[f"gadget:{key}"] = (inst.graph, inst.s)
+    rng = random.Random(4031)
+    for num_clauses in (3, 4, 5, 6):
+        for k in range(3):
+            inst = build_gadget(random_feasible_formula(rng, num_clauses))
+            out[f"gadget:{num_clauses}:{k}"] = (inst.graph, inst.s)
+    return out
+
+
+def decide_digest(g, s):
+    result = deletability_decide(g, s)
+    witness = None
+    if result.orientation is not None:
+        text = json.dumps(result.orientation.to_json(), sort_keys=True)
+        witness = hashlib.sha256(text.encode()).hexdigest()
+    return (result.status.value, result.nodes, witness)
+
+
+GOLDEN_DECIDE = {
+    "bipetersen:no": ("no", 6656, None),
+    "bipetersen:yes": ("found", 27, "f9d33002b2d6f3c15cb9c6b8fcb187620e0673c745002a063d3f60f9a71dfc90"),
+    "cube:no": ("no", 7, None),
+    "cube:yes": ("found", 7, "2dfd2c9eea575e66b2e9042e3a23303beac30c3a6aed190cd1d580a6f70d3781"),
+    "double_k4:no": ("no", 127, None),
+    "double_k4:yes": ("found", 18, "d9090bd0eb1f83735ee3797afc37ab692749c9293ed9a15aabf6c55a810f3588"),
+    "gadget:3:0": ("found", 22, "b1df2a3f394f40514441d76b1041f66c6664d4777df3bfc59b5b4485c594b85c"),
+    "gadget:3:1": ("found", 22, "b1df2a3f394f40514441d76b1041f66c6664d4777df3bfc59b5b4485c594b85c"),
+    "gadget:3:2": ("found", 20, "36a8a049c9ae14dd13434d34880ebd62b48366dbdca94f548738b3f7e62e7565"),
+    "gadget:4:0": ("found", 28, "de1d9b13bea6935fb984005e6c5afc78380ce4012f9dc1fe24c05170d4af2f3e"),
+    "gadget:4:1": ("found", 30, "d2a79a82148e4d607fbdec967409bb6a7df323e76cf3e2c0c1da72ea84ff2676"),
+    "gadget:4:2": ("found", 30, "d2a79a82148e4d607fbdec967409bb6a7df323e76cf3e2c0c1da72ea84ff2676"),
+    "gadget:5:0": ("found", 35, "3bd9e579cbe229af002a216916ff604a253a7a4b9e2ad39541692881791c1200"),
+    "gadget:5:1": ("found", 34, "2e24d18dab387c6ae80a733c6ec620b50f97f745aed9874484ce5b91e71e9aee"),
+    "gadget:5:2": ("found", 36, "eea0413069d97f0ad2ff13c252046543e7919a259079d459ad8a140565d66b45"),
+    "gadget:6:0": ("found", 40, "7053de113239ddd225c4b4ccf5547340ce60d1bb5e3216ff6c11c408292d53f4"),
+    "gadget:6:1": ("found", 44, "8cabe1295601ba78964b3b662434db1b1159be012aa28f998968b90375fb673e"),
+    "gadget:6:2": ("found", 42, "52405657841e0df6d8391618b1a0586f9c61d7d92f6cace281d62de05d76849d"),
+    "gadget:fano": ("no", 204, None),
+    "gadget:paper": ("found", 22, "16f6214df461b10a08b803c273f5bd656c79c83860e6db18e8273924541d6647"),
+    "hub_triangles:no": ("no", 0, None),
+    "hub_triangles:yes": ("found", 14, "f5ba25069a37e17a6e12b8c38a1c9676f2029435d875b9d7b260896b4ea08c69"),
+    "k33:no": ("no", 5, None),
+    "k33:yes": ("found", 5, "c09ad13c1daa1974d85c7b307a4eef7f963e9ebcdf30b4b9d3fd3d16e670cfd3"),
+    "k4:no": ("no", 3, None),
+    "k4:yes": ("found", 4, "9cc601fa312ae0d23efa9b1ba233347cb4085e5d2dd77527c21da27239139446"),
+    "k5:yes": ("found", 9, "5fbe375010f7864e82dae575c3e7841c4bf08863921653820e246ccb95180896"),
+    "moebius_kantor:no": ("no", 77, None),
+    "moebius_kantor:yes": ("found", 16, "6433b958983ad83db02cc0c3f35ac25ac07baf1094ea564032492b6777a44b7d"),
+    "petersen:no": ("no", 9, None),
+    "petersen:yes": ("found", 19, "f56cb59aef6b85fcc657f5e36093c41724354b55370bccb00228736c82b2e6c2"),
+    "prism3:no": ("no", 5, None),
+    "prism3:yes": ("found", 6, "dc3322792598ddfa58e11649f949ecf197d2acb43b331419cba53b8d3b5234f3"),
+    "theta:no": ("no", 0, None),
+    "theta:yes": ("found", 3, "ef1c33e91747eefdc17997cf65da45a2a6076a058e831249a53f31ce2931754c"),
+    "wheel4:no": ("no", 9, None),
+    "wheel4:yes": ("found", 6, "c746c0f865cd09c0a1d9bf3aefcbe049402c26fcd0c733cfb0b606051d23839b"),
+    "wheel5:no": ("no", 23, None),
+    "wheel5:yes": ("found", 21, "058ca45ae2f7f3386a1dc771d9a6ecd8e8776626b2c3d7858adefa74d3b9dac4"),
+}
+
+
+def test_golden_decide_covers_every_instance():
+    assert set(GOLDEN_DECIDE) == set(decide_instances())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DECIDE))
+def test_decision_unchanged(key):
+    assert decide_digest(*decide_instances()[key]) == GOLDEN_DECIDE[key]

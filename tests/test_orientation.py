@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import (
+    FormatError,
     NotEulerianError,
     NotStronglyConnectedError,
     PreconditionError,
@@ -407,3 +408,11 @@ def test_orientation_json_accepts_corpus_reference():
     payload = d.to_json(inline_graph=False)
     payload["graph"] = "corpus:k4"
     assert orientation_from_json(payload) == d
+
+
+@pytest.mark.parametrize("obj", [5, None, "tails", [1, 2], ["graph"]])
+def test_orientation_json_rejects_non_objects(obj):
+    g = named_graph("k4")
+    for graph in (None, g):
+        with pytest.raises(FormatError):
+            orientation_from_json(obj, graph)

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orientcover.corpus import named_graph
+from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import PreconditionError
 from orientcover.multigraph import Multigraph
 from orientcover.orientation import (
@@ -33,7 +34,8 @@ from orientcover.structures import (
     two_edge_disjoint_spanning_trees,
 )
 
-from oracles import brute_min_cut
+from oracles import backtrack_3_edge_coloring, brute_min_cut, flower_snark_pairs
+from test_exact import random_cubic_3ec
 
 
 # -- matchings ----------------------------------------------------------------------
@@ -60,18 +62,45 @@ def test_petersen_has_exactly_six_perfect_matchings():
     assert len(enumerate_perfect_matchings(named_graph("petersen"))) == 6
 
 
+def assert_three_perfect_matchings(g, classes):
+    assert len(classes) == 3 and sum(map(len, classes)) == g.num_edges
+    assert frozenset().union(*classes) == frozenset(g.edge_ids)
+    for c in classes:
+        assert is_matching(g, c) and len(c) == g.num_vertices // 2
+
+
 def test_coloring_exists_k4_prism_k33():
     for name in ("k4", "prism3", "k33", "cube"):
-        classes = proper_3_edge_coloring(named_graph(name))
-        assert classes is not None
         g = named_graph(name)
-        assert frozenset().union(*classes) == frozenset(g.edge_ids)
-        for c in classes:
-            assert is_matching(g, c) and len(c) == g.num_vertices // 2
+        classes = proper_3_edge_coloring(g)
+        assert classes is not None
+        assert_three_perfect_matchings(g, classes)
 
 
 def test_coloring_petersen_none():
     assert proper_3_edge_coloring(named_graph("petersen")) is None
+
+
+def test_coloring_agrees_with_backtracking_reference():
+    rng = random.Random(7207)
+    graphs = [g for g in map(named_graph, corpus_names()) if all(g.degree(v) == 3 for v in g.vertices)]
+    graphs += [random_cubic_3ec(rng, rng.choice((4, 6, 8, 10, 12, 14, 16, 18, 20))) for _ in range(30)]
+    graphs += [Multigraph.from_pairs(flower_snark_pairs(k)) for k in (5, 7)]
+    found = 0
+    for g in graphs:
+        classes = proper_3_edge_coloring(g)
+        expected = backtrack_3_edge_coloring(g.vertices, [(e, *g.ends(e)) for e in g.edge_ids])
+        assert (classes is not None) == (expected is not None), g
+        if classes is not None:
+            assert_three_perfect_matchings(g, classes)
+            found += 1
+    assert 20 <= found < len(graphs), found
+
+
+@pytest.mark.parametrize("k", [9, 11])
+def test_coloring_none_on_flower_snarks(k):
+    # J_k is a snark for odd k >= 5 (Isaacs 1975), so no 3-edge-coloring exists
+    assert proper_3_edge_coloring(Multigraph.from_pairs(flower_snark_pairs(k))) is None
 
 
 def test_coloring_rejects_non_cubic():
