@@ -20,8 +20,11 @@ Frank number.  With edge connectivity 4 or more, one decision over every
 edge gives f = 1.  With edge connectivity 3, the Frank number scans the
 strong orientations for their distinct deletable-arc sets and decides, for
 each new set, whether one other orientation makes the rest deletable; the
-first yes gives f = 2.  Only a scan that runs to the end (f ≥ 3) needs the
-set cover.
+first yes gives f = 2.  A set that a vertex star or an earlier refuted
+superset already rules out gets no search.  Only a scan that runs to the
+end (f ≥ 3) needs the set cover, which stops at the first cover of 3 sets.
+The search builds each leaf's arcs from the directions it holds, and the
+leaf kernel works on int bitmasks of out-neighbours.
 """
 
 from __future__ import annotations
@@ -118,9 +121,11 @@ class _Kernel:
     """One graph as flat arrays for the orientation search.
 
     Vertex i is the i-th vertex of the graph and edge i its i-th non-loop
-    edge by id; bit i of an orientation mask reverses edge i.  `arcs_of`
-    gives the (tail, head) list that the reachability kernel of the
-    orientation module takes.
+    edge by id; bit i of an orientation mask reverses edge i, and
+    `ends[i][bit]` is the (tail, head) pair edge i then takes.  `incident`
+    lists the edges at each vertex.  `small_stars` holds, for a graph of two
+    or more vertices, the bitmask of the edges at each vertex with fewer than
+    four (see `_starved`).
     """
 
     def __init__(self, g: Multigraph):
@@ -133,20 +138,16 @@ class _Kernel:
         self.v = [self.vindex[g.ends(e)[1]] for e in self.edges]
         self.n = len(self.vertices)
         self.m = len(self.edges)
+        self.ends = [((a, b), (b, a)) for a, b in zip(self.u, self.v)]
+        self.incident: List[List[int]] = [[] for _ in range(self.n)]
         stars = [0] * self.n  # bitmask of the edges at each vertex
-        for i in range(self.m):
-            stars[self.u[i]] |= 1 << i
-            stars[self.v[i]] |= 1 << i
-        self.small_stars = [star for star in stars if bin(star).count("1") < 4]
-
-    def arcs_of(self, mask: int) -> List[Tuple[int, int]]:
-        out = []
-        for i in range(self.m):
-            if (mask >> i) & 1:
-                out.append((self.v[i], self.u[i]))
-            else:
-                out.append((self.u[i], self.v[i]))
-        return out
+        for i, (a, b) in enumerate(zip(self.u, self.v)):
+            self.incident[a].append(i)
+            self.incident[b].append(i)
+            stars[a] |= 1 << i
+            stars[b] |= 1 << i
+        self.small_stars = [star for star, edges in zip(stars, self.incident)
+                            if len(edges) < 4] if self.n >= 2 else []
 
     def orientation_of(self, mask: int) -> Orientation:
         tails = {}
@@ -185,18 +186,12 @@ def _search(
     nodes visited); a search that needs more than `budget` nodes ends
     INDETERMINATE.
     """
-    n, m, us, vs = kern.n, kern.m, kern.u, kern.v
+    n, m, us, vs, ends, incident = kern.n, kern.m, kern.u, kern.v, kern.ends, kern.incident
     limit = float("inf") if budget is None else budget
-    undecided = [0] * n
-    incident: List[List[int]] = [[] for _ in range(n)]
-    for i in range(m):
-        undecided[us[i]] += 1
-        undecided[vs[i]] += 1
-        incident[us[i]].append(i)
-        incident[vs[i]].append(i)
+    undecided = [len(edges) for edges in incident]
     free_of = [0 if (sbit >> i) & 1 else 1 for i in range(m)]
     direction = [-1] * m  # bit of each directed edge, -1 while undirected
-    trail: List[int] = []  # edges directed by propagation, in order
+    trail: List[int] = []  # the directed edges, in the order they were directed
     in_count = [0] * n
     out_count = [0] * n
     in_free = [0] * n  # arcs entering that are outside sbit
@@ -212,19 +207,6 @@ def _search(
         if into:
             return (in_free[x] or free or in_count[x]) and (out_free[x] or out_count[x] > 1)
         return (in_free[x] or in_count[x] > 1) and (out_free[x] or free or out_count[x])
-
-    def shift(i: int, bit: int, step: int) -> Tuple[int, int]:
-        """Direct edge i by bit (step 1) or undo that (step -1); returns (tail, head)."""
-        t, h = (vs[i], us[i]) if bit else (us[i], vs[i])
-        free = free_of[i] * step
-        out_count[t] += step
-        in_count[h] += step
-        out_free[t] += free
-        in_free[h] += free
-        undecided[t] -= step
-        undecided[h] -= step
-        direction[i] = bit if step > 0 else -1
-        return t, h
 
     def propagate(stack: List[int]) -> bool:
         """Force the last undirected edges at the vertices on the stack.
@@ -247,7 +229,14 @@ def _search(
                 continue
             if not (out_ok or in_ok):
                 return False
-            shift(j, 0 if (us[j] == x) == bool(out_ok) else 1, 1)
+            t, h = (x, y) if out_ok else (y, x)
+            out_count[t] += 1
+            in_count[h] += 1
+            out_free[t] += free
+            in_free[h] += free
+            undecided[t] -= 1
+            undecided[h] -= 1
+            direction[j] = 0 if us[j] == t else 1
             trail.append(j)
             stack.append(y)
         return True
@@ -261,22 +250,38 @@ def _search(
             mask |= direction[i] << i
             i += 1
         if i == m:
-            arcs = kern.arcs_of(mask)
+            arcs = [ends[j][bit] for j, bit in enumerate(direction)]
             if _strong(n, arcs) and leaf(mask, arcs):
                 found = mask
                 return True
             return False
+        free = free_of[i]
         for bit in ((0,) if i == 0 else (0, 1)):
-            t, h = shift(i, bit, 1)
+            t, h = ends[i][bit]
             mark = len(trail)
+            trail.append(i)
+            out_count[t] += 1
+            in_count[h] += 1
+            out_free[t] += free
+            in_free[h] += free
+            undecided[t] -= 1
+            undecided[h] -= 1
+            direction[i] = bit
             good = (undecided[t] > 0 or vertex_ok(t)) and (undecided[h] > 0 or vertex_ok(h))
             if good and (undecided[t] != 1 and undecided[h] != 1 or propagate([t, h])):
                 if rec(i + 1, mask | bit << i):
                     return True
-            while len(trail) > mark:
+            while len(trail) > mark:  # undo the forced edges, then edge i
                 j = trail.pop()
-                shift(j, direction[j], -1)
-            shift(i, bit, -1)
+                a, b = ends[j][direction[j]]
+                fj = free_of[j]
+                out_count[a] -= 1
+                in_count[b] -= 1
+                out_free[a] -= fj
+                in_free[b] -= fj
+                undecided[a] += 1
+                undecided[b] += 1
+                direction[j] = -1
             if nodes > limit:
                 return False
         return False
@@ -288,15 +293,25 @@ def _search(
     return Status.NO, 0, nodes
 
 
+def _starved(small_stars: Iterable, s) -> bool:
+    """True when one of the stars lies inside s: no orientation makes s deletable.
+
+    A star is the set of non-loop edges at one vertex with fewer than four
+    of them, of a graph with two or more vertices; stars and s are both
+    int bitmasks or both frozensets.  Deleting any one arc of a star inside
+    s must leave its vertex an in-arc and an out-arc, so the vertex needs
+    two of each.
+    """
+    return any(star & s == star for star in small_stars)
+
+
 def _decide(kern: _Kernel, sbit: int, budget: Optional[int]) -> Tuple[Status, int, int]:
     """`_search` for an orientation mask in which every edge of the bitmask `sbit` is deletable.
 
-    A vertex with fewer than four edges, all of them in `sbit`, gives NO in
-    0 nodes: deleting any one of its arcs must leave it an in-arc and an
-    out-arc, so it needs two of each.
+    A star of the kernel inside `sbit` gives NO in 0 nodes (`_starved`).
     """
     n = kern.n
-    if n >= 2 and any(star & sbit == star for star in kern.small_stars):
+    if _starved(kern.small_stars, sbit):
         return Status.NO, 0, 0
     s_idx = [i for i in range(kern.m) if (sbit >> i) & 1]
 
@@ -334,12 +349,15 @@ def _scan_deletable_profiles(
 # -- minimum set cover -------------------------------------------------------------
 
 
-def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
+def _min_cover(universe: int, sets_masks: List[int], floor: int = 0) -> List[int]:
     """Indices of a minimum subfamily covering the universe bitmask.
 
     Branch and bound seeded with the greedy cover; branches on the uncovered
     element with the fewest candidate sets, in a fixed order, so the optimum
-    returned is deterministic.
+    returned is deterministic.  `floor` is a size no cover goes below, known
+    to the caller: the search returns as soon as its best cover has that
+    size.  It only ever replaces its best cover with a strictly smaller one,
+    so the floor changes the time, never the cover returned.
     """
     if universe == 0:
         return []
@@ -355,6 +373,8 @@ def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
         greedy.append(best)
         left &= ~masks[best]
     best_sol = greedy
+    if len(best_sol) <= floor:
+        return [order[i] for i in best_sol]
     max_size = max(bin(m).count("1") for m in masks)
 
     covers_of = {pos: [i for i, m in enumerate(masks) if (m >> pos) & 1]
@@ -363,22 +383,26 @@ def _min_cover(universe: int, sets_masks: List[int]) -> List[int]:
 
     chosen: List[int] = []
 
-    def dfs(left: int) -> None:
+    def dfs(left: int) -> bool:
+        """Branch below `chosen`; True once the best cover is down to the floor."""
         nonlocal best_sol
         if left == 0:
             if len(chosen) < len(best_sol):
                 best_sol = list(chosen)
-            return
+            return len(best_sol) <= floor
         lower = len(chosen) + -(-bin(left).count("1") // max_size)
         if lower >= len(best_sol):
-            return
+            return False
         for target in fewest_first:
             if (left >> target) & 1:
                 break
         for i in covers_of[target]:
             chosen.append(i)
-            dfs(left & ~masks[i])
+            done = dfs(left & ~masks[i])
             chosen.pop()
+            if done:
+                return True
+        return False
 
     dfs(universe)
     return [order[i] for i in best_sol]
@@ -388,7 +412,9 @@ def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, i
     """A minimum cover of the edges by deletable sets, as (set, orientation) masks.
 
     Dominated sets are dropped first, keeping the lexicographically least
-    orientation mask per set.
+    orientation mask per set.  Called only after a completion scan in which
+    no set completed, so no cover has fewer than 3 sets: 3 is the floor of
+    `_min_cover`.
     """
     items = sorted(profiles.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
     # holders[j] has bit k set when maximal[k] contains edge j, so a set is
@@ -405,7 +431,7 @@ def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, i
         for j in members:
             holders[j] |= 1 << len(maximal)
         maximal.append((dmask, omask))
-    cover_idx = _min_cover((1 << kern.m) - 1, [dm for dm, _ in maximal])
+    cover_idx = _min_cover((1 << kern.m) - 1, [dm for dm, _ in maximal], 3)
     return [maximal[i] for i in cover_idx]
 
 
@@ -430,9 +456,12 @@ def frank_number_exact(
     f = 2 exactly when some strong orientation D1 leaves the edges outside
     its deletable set P deletable in one other orientation.  The scan of the
     strong orientations decides that for each new P and stops at the first
-    yes, with D1 and the witness.  Only when every P fails (f ≥ 3) does the
-    scan run to its end, and an exact set cover over the maximal deletable
-    sets picks the certificate.  The edge limit bounds every search.
+    yes, with D1 and the witness.  A P whose E − P holds a star
+    (`_starved`), or that lies inside an earlier P′ refuted by a search,
+    fails without a search: E − P contains E − P′.  Only when every P
+    fails (f ≥ 3) does the scan run to its end, and an exact set cover over
+    the maximal deletable sets picks the certificate; it stops at the first
+    cover of 3 sets.  The edge limit bounds every search.
     """
     lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
     if lam < 3:
@@ -450,12 +479,30 @@ def frank_number_exact(
         chosen = [(universe, omask)]
     else:
         early: List[Tuple[int, int]] = []
+        # holders[j] has bit k set when the k-th set refuted by a search
+        # holds edge j; a set inside a refuted one fails too
+        holders = [0] * kern.m
+        refuted = 0
 
         def completes(dmask: int, omask: int) -> bool:
-            status, witness, _ = _decide(kern, universe & ~dmask, None)
+            nonlocal refuted
+            rest = universe & ~dmask
+            if _starved(kern.small_stars, rest):
+                return False
+            members = [j for j in range(kern.m) if (dmask >> j) & 1]
+            common = (1 << refuted) - 1
+            for j in members:
+                common &= holders[j]
+            if common:
+                return False
+            status, witness, _ = _decide(kern, rest, None)
             if status is Status.FOUND:
-                early.extend(((dmask, omask), (universe & ~dmask, witness)))
-            return status is Status.FOUND
+                early.extend(((dmask, omask), (rest, witness)))
+                return True
+            for j in members:
+                holders[j] |= 1 << refuted
+            refuted += 1
+            return False
 
         profiles = _scan_deletable_profiles(kern, completes)
         chosen = early or _maximal_cover(kern, profiles)
@@ -483,7 +530,7 @@ def deletability_decide(
     INDETERMINATE.  Any FOUND answer carries a witness re-verified with
     is_deletable_set; a witness that fails raises InternalVerificationError.
     A vertex with fewer than four non-loop edges, all in s, gives NO in 0
-    nodes (see `_decide`).
+    nodes, before any search state is built (see `_starved`).
     """
     sset = frozenset(s)
     for e in sset:
@@ -491,6 +538,11 @@ def deletability_decide(
             raise PreconditionError(f"unknown edge {e} in the requested set")
     if not g.is_connected():
         raise PreconditionError("deletability needs a connected graph")
+    if g.num_vertices >= 2:  # a star inside s lies at an end of an edge of s
+        ends = {x for e in sset for x in g.ends(e)}
+        stars = (frozenset(e for e in g.incident_edges(v) if not g.is_loop(e)) for v in ends)
+        if _starved((star for star in stars if len(star) < 4), sset):
+            return DecideResult(Status.NO, None, 0)
     kern = _Kernel(g)
     sbit = 0
     for e in sset:

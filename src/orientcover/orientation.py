@@ -2,8 +2,8 @@
 
 An orientation assigns a tail to every non-loop edge of a reference graph;
 loops carry no direction and never affect any cut.  One reachability kernel
-over flat arrays, `_strong` and `_deletable_mask`, makes every
-strong-connectivity and deletable-arc test, here and in exact.
+over int bitmasks of out-neighbours, `_strong` and `_deletable_mask`, makes
+every strong-connectivity and deletable-arc test, here and in exact.
 """
 
 from __future__ import annotations
@@ -141,27 +141,32 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
 
 
 def _strong(n: int, arcs: Sequence[Tuple[int, int]]) -> bool:
-    """True when the (tail, head) arcs over vertices 0..n-1 are strongly connected."""
+    """True when the (tail, head) arcs over vertices 0..n-1 are strongly connected.
+
+    Vertex 0 must reach every vertex along the arcs and along their
+    reversals.  Each vertex gets an int bitmask of its out-neighbours (and
+    one of its in-neighbours); a search keeps its frontier and the vertices
+    not yet reached as bitmasks too.
+    """
     if n <= 1:
         return True
-    fwd: List[List[int]] = [[] for _ in range(n)]
-    bwd: List[List[int]] = [[] for _ in range(n)]
+    bits = [1 << v for v in range(n)]
+    out = [0] * n
+    into = [0] * n
     for t, h in arcs:
-        fwd[t].append(h)
-        bwd[h].append(t)
-    for adj in (fwd, bwd):
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        if count != n:
+        out[t] |= bits[h]
+        into[h] |= bits[t]
+    for adj in (out, into):
+        unseen = (1 << n) - 2
+        frontier = 1
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier ^= bits[x]
+            new = adj[x] & unseen
+            if new:
+                unseen ^= new
+                frontier |= new
+        if unseen:
             return False
     return True
 
@@ -169,38 +174,48 @@ def _strong(n: int, arcs: Sequence[Tuple[int, int]]) -> bool:
 def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optional[Iterable[int]] = None) -> int:
     """Bitmask over arc indices (all, or `candidates`) whose deletion keeps strong connectivity.
 
-    Assumes the arcs are strongly connected, so the test per arc is a single
-    reachability query tail -> head without that arc.  An arc that is its
-    tail's only out-arc or its head's only in-arc is never deletable and
-    gets no query.
+    Assumes the arcs are strongly connected and join distinct vertices, so
+    the test per arc is a single reachability query tail -> head without
+    that arc.  Each vertex gets an int bitmask of its out-neighbours, and a
+    second bitmask of the heads it has two or more arcs to: such a parallel
+    arc is deletable at once.  An arc that is its tail's only out-arc or its
+    head's only in-arc is never deletable and gets no query.  A query
+    expands the vertices reached from the tail without the arc and stops at
+    the first one with the head as an out-neighbour.
     """
-    fwd: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    outdeg = [0] * n
-    indeg = [0] * n
-    for i, (t, h) in enumerate(arcs):
-        fwd[t].append((h, i))
-        outdeg[t] += 1
-        indeg[h] += 1
+    bits = [1 << v for v in range(n)]
+    out = [0] * n
+    into = [0] * n
+    parallel = [0] * n
+    for t, h in arcs:
+        bit = bits[h]
+        if out[t] & bit:
+            parallel[t] |= bit
+        out[t] |= bit
+        into[h] |= bits[t]
+    everyone = (1 << n) - 1
     result = 0
     for i in range(len(arcs)) if candidates is None else candidates:
         t, h = arcs[i]
-        if outdeg[t] == 1 or indeg[h] == 1:
-            continue
-        seen = bytearray(n)
-        seen[t] = 1
-        stack = [t]
-        ok = False
-        while stack and not ok:
-            x = stack.pop()
-            for y, j in fwd[x]:
-                if j != i and not seen[y]:
-                    if y == h:
-                        ok = True
-                        break
-                    seen[y] = 1
-                    stack.append(y)
-        if ok:
+        target = bits[h]
+        if parallel[t] & target:
             result |= 1 << i
+            continue
+        frontier = out[t] ^ target
+        if not frontier or into[h] == bits[t]:
+            continue
+        unseen = everyone ^ frontier ^ bits[t]
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier ^= bits[x]
+            nxt = out[x]
+            if nxt & target:
+                result |= 1 << i
+                break
+            new = nxt & unseen
+            if new:
+                unseen ^= new
+                frontier |= new
     return result
 
 

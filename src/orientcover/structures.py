@@ -234,12 +234,38 @@ def proper_3_edge_coloring(g: Multigraph) -> Optional[Tuple[FrozenSet[int], Froz
         return None
     for m in _matching_search(g):
         rest = frozenset(g.edge_ids) - m
-        cycles = cycles_from_edge_set(g, rest).cycles
-        if any(len(c) % 2 for c in cycles):
+        if not _even_cycles(g, rest):
             continue
+        cycles = cycles_from_edge_set(g, rest).cycles
         a = frozenset(e for c in cycles for e in c.edges[::2])
         return m, a, rest - a
     return None
+
+
+def _even_cycles(g: Multigraph, edge_ids: Iterable[int]) -> bool:
+    """True when every cycle of a loopless 2-regular edge set has even length.
+
+    Walks each cycle once, counting its edges; builds no cycle objects.
+    """
+    nbrs: Dict[int, List[int]] = {}
+    for e in edge_ids:
+        u, v = g.ends(e)
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    seen: Set[int] = set()
+    for start in nbrs:
+        if start in seen:
+            continue
+        seen.add(start)
+        prev, x, length = start, nbrs[start][0], 1
+        while x != start:
+            seen.add(x)
+            a, b = nbrs[x]
+            prev, x = x, b if a == prev else a
+            length += 1
+        if length % 2:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

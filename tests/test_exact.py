@@ -261,6 +261,35 @@ def test_completion_decision_matches_brute_force():
     assert answers[Status.FOUND] >= 20 and answers[Status.NO] >= 20 and searched >= 30, answers
 
 
+def test_petersen_completion_scan_skips_subsets_of_refuted_sets(monkeypatch):
+    # a deletable set inside one whose completion search said NO gets no
+    # search, and neither does one whose complement holds a whole star
+    decide = exact._decide
+    searches = []
+
+    def counted(kern, sbit, budget):
+        result = decide(kern, sbit, budget)
+        if result[2] > 0:
+            searches.append(result[2])
+        return result
+
+    monkeypatch.setattr(exact, "_decide", counted)
+    g = named_graph("petersen")
+    k, cert = frank_number_exact(g)
+    assert k == 3 and verify_certificate(g, cert) == (True, frozenset())
+    assert len(searches) == 217
+
+
+def test_min_cover_floor_keeps_the_cover_on_petersen():
+    kern = exact._Kernel(named_graph("petersen"))
+    profiles = exact._scan_deletable_profiles(kern)
+    maximal = sorted(p for p in profiles if not any(p != q and p & q == p for q in profiles))
+    universe = (1 << kern.m) - 1
+    plain = exact._min_cover(universe, maximal)
+    assert len(plain) == 3
+    assert exact._min_cover(universe, maximal, 3) == plain
+
+
 def test_petersen_certificate_pinned():
     _, cert = frank_number_exact(named_graph("petersen"))
     blob = json.dumps(cert.to_json(), sort_keys=True).encode()
@@ -322,6 +351,26 @@ def test_decide_root_check_refutes_a_saturated_low_degree_vertex():
     assert result.status is (Status.FOUND if expected else Status.NO)
 
 
+def test_decide_star_check_builds_no_search_state(monkeypatch):
+    # the 0-node NO reads the graph's own incidences, loops skipped
+    built = []
+    kernel = exact._Kernel
+
+    def counted(g):
+        built.append(g)
+        return kernel(g)
+
+    monkeypatch.setattr(exact, "_Kernel", counted)
+    prism = named_graph("prism3")
+    g = Multigraph(prism.vertices, {**{e: prism.ends(e) for e in prism.edge_ids}, 100: (0, 0)})
+    s = set(g.incident_edges(0)) | {max(prism.edge_ids)}
+    result = deletability_decide(g, s)
+    assert result.status is Status.NO and result.nodes == 0
+    assert built == []
+    assert deletability_decide(g, [100]).status is Status.FOUND
+    assert len(built) == 1
+
+
 def test_decide_agrees_with_enumeration_small():
     budgeted = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
     for name in ("k4", "theta", "prism3"):
@@ -379,7 +428,8 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
             expected = []
             for bits in itertools.product((0, 1), repeat=kern.m - 1):
                 mask = sum(b << i for i, b in enumerate(bits, 1))
-                arcs = kern.arcs_of(mask)
+                arcs = [(kern.v[i], kern.u[i]) if (mask >> i) & 1 else (kern.u[i], kern.v[i])
+                        for i in range(kern.m)]
                 ins = [[] for _ in range(kern.n)]
                 outs = [[] for _ in range(kern.n)]
                 for i, (t, h) in enumerate(arcs):

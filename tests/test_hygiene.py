@@ -75,8 +75,9 @@ def test_checker_flags_itertools_product():
 
 
 def dead_private_functions(sources):
-    """(file, line, name) of each _-prefixed, non-dunder function or method
-    that no code in `sources` (file name -> text) names outside its own body."""
+    """(file, line, name) of each non-dunder function or method that is
+    _-prefixed or defined in a _-prefixed class, and that no code in
+    `sources` (file name -> text) names outside its own body."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
 
     def names(node):
@@ -89,9 +90,12 @@ def dead_private_functions(sources):
             total[name] = total.get(name, 0) + 1
     dead = []
     for file, tree in sorted(trees.items()):
+        private_methods = {id(f) for c in ast.walk(tree)
+                           if isinstance(c, ast.ClassDef) and c.name.startswith("_") for f in c.body}
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and (node.name.startswith("_") or id(node) in private_methods)
+                    and not node.name.endswith("__")
                     and total.get(node.name, 0) == names(node).count(node.name)):
                 dead.append((file, node.lineno, node.name))
     return dead
@@ -109,8 +113,12 @@ def test_checker_flags_a_dead_private_function():
                  "def _self_only(k):\n    return _self_only(k - 1) if k else 0\n\n"
                  "class C:\n    def __init__(self):\n        self._m()\n\n"
                  "    def _m(self):\n        pass\n\n"
-                 "    def _unreached(self):\n        pass\n"),
-        "b.py": "from a import _used\n",
+                 "    def _unreached(self):\n        pass\n\n"
+                 "class _P:\n    def __init__(self):\n        self.kept()\n\n"
+                 "    def kept(self):\n        pass\n\n"
+                 "    def leftover(self):\n        pass\n"),
+        "b.py": "from a import _used, _P\n",
     }
     assert dead_private_functions(sources) == [
-        ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached")]
+        ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached"),
+        ("a.py", 27, "leftover")]

@@ -139,3 +139,73 @@ def test_verify_certificate_verdicts_match_brute_force():
         ok, bad = verify_certificate(g, FrankCertificate(tuple(ds), cover))
         assert bad == expected and ok == (not expected)
     assert min(seen.values()) >= 20, seen
+
+
+def oracle_deletable(n, arcs):
+    """Indices of the (tail, head) arcs whose single deletion keeps them strong."""
+    indexed = [(i, t, h) for i, (t, h) in enumerate(arcs)]
+    return {i for i in range(len(arcs)) if brute_deletable_set(n, indexed, {i})}
+
+
+def as_orientation(n, arcs):
+    """The orientation of arcs over vertices 0..n-1, edge i along arc i."""
+    g = Multigraph(range(n), dict(enumerate(arcs)))
+    return Orientation(g, {i: t for i, (t, _) in enumerate(arcs)})
+
+
+def test_parallel_and_antiparallel_arcs_match_oracles():
+    # a parallel arc is deletable at once in a strong orientation; an
+    # antiparallel pair must not be mistaken for one
+    rng = random.Random(7)
+    seen = {"parallel": 0, "antiparallel": 0, "strong": 0, "not strong": 0}
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        arcs = []
+        for _ in range(rng.randint(n, 2 * n)):
+            t, h = rng.sample(range(n), 2)
+            arcs.append((t, h))
+            twin = rng.random()
+            if twin < 0.2:
+                arcs.append((t, h))
+                seen["parallel"] += 1
+            elif twin < 0.5:
+                arcs.append((h, t))
+                seen["antiparallel"] += 1
+        d = as_orientation(n, arcs)
+        strong = closure_strongly_connected(n, arcs)
+        seen["strong" if strong else "not strong"] += 1
+        assert is_strongly_connected(d) == strong
+        if strong:
+            expected = oracle_deletable(n, arcs)
+            assert deletable_arcs(d) == expected
+            verdicts.update(i in expected for i in range(len(arcs)))
+    assert min(seen.values()) >= 30 and verdicts == {True, False}, seen
+
+
+def test_kernel_past_one_machine_word_matches_oracles():
+    # over 64 vertices every out-neighbour bitmask spans several machine
+    # words; a Hamiltonian cycle plus chords, parallel and antiparallel arcs
+    rng = random.Random(11)
+    verdicts = set()
+    for n in (65, 70, 80):
+        order = rng.sample(range(n), n)
+        arcs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+        for _ in range(12):
+            t, h = rng.sample(range(n), 2)
+            arcs.append((t, h))
+        arcs.append(arcs[rng.randrange(n)])
+        t, h = arcs[rng.randrange(n)]
+        arcs.append((h, t))
+        d = as_orientation(n, arcs)
+        assert is_strongly_connected(d) and closure_strongly_connected(n, arcs)
+        found = deletable_arcs(d)
+        indexed = [(i, t, h) for i, (t, h) in enumerate(arcs)]
+        for i in rng.sample(range(n), 6) + list(range(n, len(arcs))):
+            expected = brute_deletable_set(n, indexed, {i})
+            assert (i in found) == expected, (n, arcs[i])
+            verdicts.add(expected)
+        cut = as_orientation(n, arcs[1:n] + [arcs[0][::-1]])
+        assert not is_strongly_connected(cut)
+        assert not closure_strongly_connected(n, arcs[1:n] + [arcs[0][::-1]])
+    assert verdicts == {True, False}
