@@ -11,9 +11,10 @@ one direction can pass the same test, and cuts the branch when neither can;
 this removes only dead subtrees, so every leaf is reached in the same order
 as without it.  Every answer ships a witness that is re-verified by direct
 deletion checks; budget exhaustion is a distinct outcome, never conflated
-with "no".  The search leaves, the profile scan and certificate verification
-all run the one reachability kernel of the orientation module (`_strong`,
-`_deletable_mask`).
+with "no".  The search leaves and certificate verification run the one
+reachability kernel of the orientation module, `_deletable_mask`: one call
+per strongly connected leaf tests strength and returns the deletable arcs
+among the candidates its caller names.
 
 One decision core, `_decide`, serves `deletability_decide` and the exact
 Frank number.  With edge connectivity 4 or more, one decision over every
@@ -23,15 +24,14 @@ each new set, whether one other orientation makes the rest deletable; the
 first yes gives f = 2.  A set that a vertex star or an earlier refuted
 superset already rules out gets no search.  Only a scan that runs to the
 end (f ≥ 3) needs the set cover, which stops at the first cover of 3 sets.
-The search builds each leaf's arcs from the directions it holds, and the
-leaf kernel works on int bitmasks of out-neighbours.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     CertificateMismatchError,
@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .multigraph import Multigraph
-from .orientation import Orientation, _deletable_among, _deletable_mask, _strong, is_deletable_set
+from .orientation import Orientation, _deletable_among, _deletable_mask, is_deletable_set
 
 
 class Status(Enum):
@@ -125,7 +125,9 @@ class _Kernel:
     `ends[i][bit]` is the (tail, head) pair edge i then takes.  `incident`
     lists the edges at each vertex.  `small_stars` holds, for a graph of two
     or more vertices, the bitmask of the edges at each vertex with fewer than
-    four (see `_starved`).
+    four.  No orientation makes a set holding such a star deletable:
+    deleting any one arc of it must leave its vertex an in-arc and an
+    out-arc, so the vertex needs two of each.
     """
 
     def __init__(self, g: Multigraph):
@@ -158,8 +160,8 @@ class _Kernel:
 
 
 def _search(
-    kern: _Kernel, sbit: int, budget: Optional[int],
-    leaf: Callable[[int, List[Tuple[int, int]]], bool],
+    kern: _Kernel, sbit: int, budget: Optional[int], candidates: Optional[Sequence[int]],
+    leaf: Callable[[int, int], bool],
 ) -> Tuple[Status, int, int]:
     """Depth-first search over edge directions, taken in kernel index order.
 
@@ -179,10 +181,12 @@ def _search(
     ok are cut, so the leaves are visited in the same order as without
     propagation.
 
-    Each strongly connected leaf is handed to `leaf(mask, arcs)`, and the
-    search stops at the first leaf it accepts.  A node is one call of the
-    recursive step: it branches on the next unforced edge, or evaluates a
-    leaf; forced edges cost no node.  Returns (status, accepted mask or 0,
+    Each leaf costs one `_deletable_mask` call over `candidates`, kernel
+    edge indices or None for all.  A strongly connected leaf is handed to
+    `leaf(mask, dmask)`, dmask being the bitmask of its deletable
+    candidates, and the search stops at the first leaf it accepts.  A node
+    is one call of the recursive step: it branches on the next unforced
+    edge, or evaluates a leaf; forced edges cost no node.  Returns (status, accepted mask or 0,
     nodes visited); a search that needs more than `budget` nodes ends
     INDETERMINATE.
     """
@@ -250,8 +254,8 @@ def _search(
             mask |= direction[i] << i
             i += 1
         if i == m:
-            arcs = [ends[j][bit] for j, bit in enumerate(direction)]
-            if _strong(n, arcs) and leaf(mask, arcs):
+            dmask = _deletable_mask(n, [ends[j][bit] for j, bit in enumerate(direction)], candidates)
+            if dmask is not None and leaf(mask, dmask):
                 found = mask
                 return True
             return False
@@ -293,32 +297,14 @@ def _search(
     return Status.NO, 0, nodes
 
 
-def _starved(small_stars: Iterable, s) -> bool:
-    """True when one of the stars lies inside s: no orientation makes s deletable.
-
-    A star is the set of non-loop edges at one vertex with fewer than four
-    of them, of a graph with two or more vertices; stars and s are both
-    int bitmasks or both frozensets.  Deleting any one arc of a star inside
-    s must leave its vertex an in-arc and an out-arc, so the vertex needs
-    two of each.
-    """
-    return any(star & s == star for star in small_stars)
-
-
 def _decide(kern: _Kernel, sbit: int, budget: Optional[int]) -> Tuple[Status, int, int]:
     """`_search` for an orientation mask in which every edge of the bitmask `sbit` is deletable.
 
-    A star of the kernel inside `sbit` gives NO in 0 nodes (`_starved`).
+    Its callers rule out a star of the kernel inside `sbit` first; the
+    search alone refutes one only once it has directed that star's edges.
     """
-    n = kern.n
-    if _starved(kern.small_stars, sbit):
-        return Status.NO, 0, 0
-    s_idx = [i for i in range(kern.m) if (sbit >> i) & 1]
-
-    def all_deletable(mask: int, arcs: List[Tuple[int, int]]) -> bool:
-        return _deletable_mask(n, arcs, s_idx) & sbit == sbit
-
-    return _search(kern, sbit, budget, all_deletable)
+    candidates = [i for i in range(kern.m) if (sbit >> i) & 1]
+    return _search(kern, sbit, budget, candidates, lambda mask, dmask: dmask == sbit)
 
 
 def _scan_deletable_profiles(
@@ -333,8 +319,7 @@ def _scan_deletable_profiles(
     """
     profiles: Dict[int, int] = {}
 
-    def record(mask: int, arcs: List[Tuple[int, int]]) -> bool:
-        dmask = _deletable_mask(kern.n, arcs)
+    def record(mask: int, dmask: int) -> bool:
         if dmask in profiles:
             if mask < profiles[dmask]:
                 profiles[dmask] = mask
@@ -342,7 +327,7 @@ def _scan_deletable_profiles(
         profiles[dmask] = mask
         return stop is not None and stop(dmask, mask)
 
-    _search(kern, 0, None, record)
+    _search(kern, 0, None, None, record)
     return profiles
 
 
@@ -456,12 +441,13 @@ def frank_number_exact(
     f = 2 exactly when some strong orientation D1 leaves the edges outside
     its deletable set P deletable in one other orientation.  The scan of the
     strong orientations decides that for each new P and stops at the first
-    yes, with D1 and the witness.  A P whose E − P holds a star
-    (`_starved`), or that lies inside an earlier P′ refuted by a search,
-    fails without a search: E − P contains E − P′.  Only when every P
-    fails (f ≥ 3) does the scan run to its end, and an exact set cover over
-    the maximal deletable sets picks the certificate; it stops at the first
-    cover of 3 sets.  The edge limit bounds every search.
+    yes, with D1 and the witness.  A P whose E − P holds a star of
+    `_Kernel.small_stars`, or that lies inside an earlier P′ refuted by a
+    search, fails without a search: E − P contains E − P′.  (When λ ≥ 4 no
+    vertex has a star.)  Only when every P fails (f ≥ 3) does the scan run
+    to its end, and an exact set cover over the maximal deletable sets picks
+    the certificate; it stops at the first cover of 3 sets.  The edge limit
+    bounds every search.
     """
     lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
     if lam < 3:
@@ -487,7 +473,7 @@ def frank_number_exact(
         def completes(dmask: int, omask: int) -> bool:
             nonlocal refuted
             rest = universe & ~dmask
-            if _starved(kern.small_stars, rest):
+            if any(star & rest == star for star in kern.small_stars):
                 return False
             members = [j for j in range(kern.m) if (dmask >> j) & 1]
             common = (1 << refuted) - 1
@@ -530,7 +516,9 @@ def deletability_decide(
     INDETERMINATE.  Any FOUND answer carries a witness re-verified with
     is_deletable_set; a witness that fails raises InternalVerificationError.
     A vertex with fewer than four non-loop edges, all in s, gives NO in 0
-    nodes, before any search state is built (see `_starved`).
+    nodes, before any search state is built: s's non-loop edges are counted
+    per vertex they touch and compared with that vertex's non-loop degree
+    (see `_Kernel` for why such a star refutes s).
     """
     sset = frozenset(s)
     for e in sset:
@@ -538,10 +526,9 @@ def deletability_decide(
             raise PreconditionError(f"unknown edge {e} in the requested set")
     if not g.is_connected():
         raise PreconditionError("deletability needs a connected graph")
-    if g.num_vertices >= 2:  # a star inside s lies at an end of an edge of s
-        ends = {x for e in sset for x in g.ends(e)}
-        stars = (frozenset(e for e in g.incident_edges(v) if not g.is_loop(e)) for v in ends)
-        if _starved((star for star in stars if len(star) < 4), sset):
+    inside = Counter(x for u, v in map(g.ends, sset) if u != v for x in (u, v))
+    for x, k in inside.items():
+        if k < 4 and k == sum(not g.is_loop(e) for e in g.incident_edges(x)):
             return DecideResult(Status.NO, None, 0)
     kern = _Kernel(g)
     sbit = 0

@@ -2,8 +2,9 @@
 
 An orientation assigns a tail to every non-loop edge of a reference graph;
 loops carry no direction and never affect any cut.  One reachability kernel
-over int bitmasks of out-neighbours, `_strong` and `_deletable_mask`, makes
-every strong-connectivity and deletable-arc test, here and in exact.
+over int bitmasks of out-neighbours, `_deletable_mask`, makes every
+strong-connectivity and deletable-arc test, here and in exact: one call
+tests strength and names the deletable arcs from one set of bitmasks.
 """
 
 from __future__ import annotations
@@ -140,48 +141,20 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
 # -- reachability ---------------------------------------------------------------
 
 
-def _strong(n: int, arcs: Sequence[Tuple[int, int]]) -> bool:
-    """True when the (tail, head) arcs over vertices 0..n-1 are strongly connected.
-
-    Vertex 0 must reach every vertex along the arcs and along their
-    reversals.  Each vertex gets an int bitmask of its out-neighbours (and
-    one of its in-neighbours); a search keeps its frontier and the vertices
-    not yet reached as bitmasks too.
-    """
-    if n <= 1:
-        return True
-    bits = [1 << v for v in range(n)]
-    out = [0] * n
-    into = [0] * n
-    for t, h in arcs:
-        out[t] |= bits[h]
-        into[h] |= bits[t]
-    for adj in (out, into):
-        unseen = (1 << n) - 2
-        frontier = 1
-        while frontier:
-            x = frontier.bit_length() - 1
-            frontier ^= bits[x]
-            new = adj[x] & unseen
-            if new:
-                unseen ^= new
-                frontier |= new
-        if unseen:
-            return False
-    return True
-
-
-def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optional[Iterable[int]] = None) -> int:
+def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]],
+                    candidates: Optional[Iterable[int]] = None) -> Optional[int]:
     """Bitmask over arc indices (all, or `candidates`) whose deletion keeps strong connectivity.
 
-    Assumes the arcs are strongly connected and join distinct vertices, so
-    the test per arc is a single reachability query tail -> head without
-    that arc.  Each vertex gets an int bitmask of its out-neighbours, and a
-    second bitmask of the heads it has two or more arcs to: such a parallel
-    arc is deletable at once.  An arc that is its tail's only out-arc or its
-    head's only in-arc is never deletable and gets no query.  A query
-    expands the vertices reached from the tail without the arc and stops at
-    the first one with the head as an out-neighbour.
+    None when the (tail, head) arcs over vertices 0..n-1, which must join
+    distinct vertices, are not strongly connected: vertex 0 must reach every
+    vertex along the arcs and along their reversals (n <= 1 is strong).
+    Only then is `candidates` read.  Each vertex gets int bitmasks of its
+    out-neighbours, its in-neighbours and the heads it has two or more arcs
+    to; searches keep their frontier and unseen vertices as bitmasks too.
+    A parallel arc is deletable at once; an arc that is its tail's only
+    out-arc or its head's only in-arc never is.  Any other arc gets one
+    query tail -> head without it, which stops at the first vertex reached
+    with the head as an out-neighbour.
     """
     bits = [1 << v for v in range(n)]
     out = [0] * n
@@ -193,6 +166,18 @@ def _deletable_mask(n: int, arcs: Sequence[Tuple[int, int]], candidates: Optiona
             parallel[t] |= bit
         out[t] |= bit
         into[h] |= bits[t]
+    for adj in (out, into) if n > 1 else ():
+        unseen = (1 << n) - 2
+        frontier = 1
+        while frontier:
+            x = frontier.bit_length() - 1
+            frontier ^= bits[x]
+            new = adj[x] & unseen
+            if new:
+                unseen ^= new
+                frontier |= new
+        if unseen:
+            return None
     everyone = (1 << n) - 1
     result = 0
     for i in range(len(arcs)) if candidates is None else candidates:
@@ -243,16 +228,16 @@ def _deletable_among(d: Orientation, f: Sequence[int]) -> Optional[FrozenSet[int
     deletable; an edge unknown to d's graph raises UnknownEdgeError.
     """
     n, edges, arcs = _indexed_arcs(d)
-    if not _strong(n, arcs):
-        return None
     pos = {e: i for i, e in enumerate(edges)}
-    mask = _deletable_mask(n, arcs, [pos[e] for e in f if not d.graph.is_loop(e)])
+    mask = _deletable_mask(n, arcs, (pos[e] for e in f if not d.graph.is_loop(e)))
+    if mask is None:
+        return None
     return frozenset(e for e in f if d.graph.is_loop(e) or (mask >> pos[e]) & 1)
 
 
 def is_strongly_connected(d: Orientation) -> bool:
     n, _, arcs = _indexed_arcs(d)
-    return _strong(n, arcs)
+    return _deletable_mask(n, arcs, ()) is not None
 
 
 def deletable_arcs(d: Orientation) -> FrozenSet[int]:
@@ -588,7 +573,7 @@ def _searched_well_balanced(g: Multigraph) -> Orientation:
         lam = h._flow_tree()
         budget = None if kern.m <= DEFAULT_LIMITS.max_enumerable_edges else DEFAULT_LIMITS.node_budget
         status, mask, _ = _search(
-            kern, 0, budget, lambda mask, arcs: is_well_balanced(h, kern.orientation_of(mask), lam))
+            kern, 0, budget, (), lambda mask, dmask: is_well_balanced(h, kern.orientation_of(mask), lam))
         if status is Status.INDETERMINATE:
             raise SearchExhaustedError("well-balanced orientation search ran out of nodes")
         if status is Status.NO:  # pragma: no cover - Nash-Williams' theorem

@@ -150,6 +150,23 @@ def _orient_special_set_deletable(g: Multigraph, p: CyclePacking,
     return d
 
 
+def _matching_orientations(g: Multigraph, matchings: Sequence[FrozenSet[int]]
+                           ) -> Tuple[List[Orientation], Dict[int, int]]:
+    """One orientation per perfect matching M of the checked cubic g, M deletable in it.
+
+    E − M is a cycle packing, and its special-set orientation makes M
+    deletable.  Each edge is covered at the first matching that holds it.
+    """
+    orientations = []
+    cover: Dict[int, int] = {}
+    for k, mk in enumerate(matchings):
+        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
+        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
+        for e in mk:
+            cover.setdefault(e, k)
+    return orientations, cover
+
+
 # -- matching orientations (essentially 4-edge-connected hosts) -----------------------
 
 
@@ -363,13 +380,7 @@ def certify_color3(g: Multigraph) -> PipelineReport:
     coloring = proper_3_edge_coloring(g)
     if coloring is None:
         raise NotThreeEdgeColorableError("not 3-edge-colorable")
-    orientations = []
-    cover: Dict[int, int] = {}
-    for k, mk in enumerate(coloring):
-        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
-        for e in mk:
-            cover[e] = k
+    orientations, cover = _matching_orientations(g, coloring)
     prov = tuple(f"color-class-{k}" for k in range(3))
     return _finish("color3", g, ("3-edge-connected", "cubic", "3-edge-colorable"),
                    orientations, cover, prov, 3)
@@ -397,13 +408,7 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
     if found.status == "no":
         raise PreconditionError("no perfect-matching double cover exists for this graph")
     matchings = found.matchings[:5]
-    orientations = []
-    cover: Dict[int, int] = {}
-    for k, mk in enumerate(matchings):
-        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
-        for e in mk:
-            cover.setdefault(e, k)
+    orientations, cover = _matching_orientations(g, matchings)
     prov = tuple(f"double-cover-matching-{k}" for k in range(len(matchings)))
     return _finish("bf5", g, ("3-edge-connected", "cubic", "double cover found"),
                    orientations, cover, prov, 5)

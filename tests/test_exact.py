@@ -28,6 +28,7 @@ from orientcover.reduction import PAPER_EXAMPLE, build_gadget, parse_formula
 
 from oracles import (
     brute_deletability,
+    brute_deletable_arcs,
     brute_deletable_profiles,
     brute_frank_number,
     closure_strongly_connected,
@@ -371,6 +372,35 @@ def test_decide_star_check_builds_no_search_state(monkeypatch):
     assert len(built) == 1
 
 
+def test_decide_star_check_matches_the_kernel_star_bitmasks():
+    # deletability_decide counts s's edges per vertex; the completion scan tests
+    # _Kernel.small_stars against a bitmask: both must see the same stars.  A
+    # one-node budget keeps every search short, and any search costs a node
+    rng = random.Random(6121)
+    graphs = [named_graph(name) for name in corpus_names()]
+    while len(graphs) < len(corpus_names()) + 30:  # configuration model, degrees 1-5
+        points = [v for v in range(rng.randint(2, 7)) for _ in range(rng.randint(1, 5))]
+        rng.shuffle(points)
+        g = Multigraph.from_pairs(list(zip(points[::2], points[1::2])))
+        if g.num_vertices >= 2 and g.is_connected():
+            graphs.append(g)
+    loops = sum(any(g.is_loop(e) for e in g.edge_ids) for g in graphs)
+    parallels = sum(len(set(map(g.ends, g.edge_ids))) < g.num_edges for g in graphs)
+    assert loops >= 5 and parallels >= 5, (loops, parallels)
+    limits = SolveLimits(max_enumerable_edges=1, node_budget=1)
+    seen = {True: 0, False: 0}
+    for g in graphs:
+        kern = exact._Kernel(g)
+        for _ in range(8):
+            s = rng.sample(g.edge_ids, rng.randint(0, g.num_edges))
+            sbit = sum(1 << kern.eindex[e] for e in s if not g.is_loop(e))
+            starved = any(star & sbit == star for star in kern.small_stars)
+            result = deletability_decide(g, s, limits)
+            assert (result.nodes == 0 and result.status is Status.NO) == starved, (g, s)
+            seen[starved] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_decide_agrees_with_enumeration_small():
     budgeted = SolveLimits(max_enumerable_edges=3, node_budget=500_000)
     for name in ("k4", "theta", "prism3"):
@@ -412,7 +442,8 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
     # propagation may only cut subtrees without an acceptable leaf: the leaves
     # handed on are every strong orientation whose vertices all pass the
     # finished-vertex rule, in depth-first order over the edge ids; random
-    # relabellings of the edge ids check propagation across many orders
+    # relabellings of the edge ids check propagation across many orders.
+    # Each leaf also gets its deletable arcs among all edges, or among sbit
     rng = random.Random(3301)
     graphs = [named_graph(name) for name in ("k4", "theta", "prism3", "k33", "wheel4", "cube")]
     graphs += [random_cubic_3ec(rng, 8) for _ in range(2)]
@@ -423,9 +454,12 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
             h = Multigraph(g.vertices, {new: g.ends(e) for new, e in zip(ids, g.edge_ids)})
             kern = exact._Kernel(h)
             sbit = sum(1 << i for i in rng.sample(range(kern.m), rng.randint(0, kern.m // 2)))
-            reached = []
-            exact._search(kern, sbit, None, lambda mask, arcs: reached.append(mask))
-            expected = []
+            reached, dmasks, sbit_dmasks = [], [], []
+            exact._search(kern, sbit, None, None,
+                          lambda mask, dmask: reached.append(mask) or dmasks.append(dmask))
+            candidates = [i for i in range(kern.m) if (sbit >> i) & 1]
+            exact._search(kern, sbit, None, candidates, lambda mask, dmask: sbit_dmasks.append(dmask))
+            expected, expected_dmasks = [], []
             for bits in itertools.product((0, 1), repeat=kern.m - 1):
                 mask = sum(b << i for i, b in enumerate(bits, 1))
                 arcs = [(kern.v[i], kern.u[i]) if (mask >> i) & 1 else (kern.u[i], kern.v[i])
@@ -439,7 +473,12 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
                          for x in range(kern.n) for side in (ins[x], outs[x]))
                 if ok and closure_strongly_connected(kern.n, arcs):
                     expected.append(mask)
+                    indexed = [(i, t, h) for i, (t, h) in enumerate(arcs)]
+                    deletable = brute_deletable_arcs(range(kern.n), indexed, ())
+                    expected_dmasks.append(sum(1 << i for i in deletable))
             assert reached == expected, (h, sbit)
+            assert dmasks == expected_dmasks, (h, sbit)
+            assert sbit_dmasks == [dmask & sbit for dmask in expected_dmasks], (h, sbit)
             leaves += len(reached)
     assert leaves >= 100, leaves
 

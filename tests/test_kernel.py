@@ -1,11 +1,11 @@
 """The one reachability kernel against the Warshall-closure oracles.
 
 is_strongly_connected, deletable_arcs, is_deletable_set and the per-edge
-verdicts of verify_certificate all run orientation._strong and
-orientation._deletable_mask.  Here they meet oracles.closure_strongly_connected
-and oracles.brute_deletable_set on seeded random orientations, strong and not
-strong, of multigraphs with parallel edges, loops and non-contiguous vertex
-and edge ids.
+verdicts of verify_certificate all run orientation._deletable_mask, which
+tests strength and finds the deletable arcs in one call.  Here they meet
+oracles.closure_strongly_connected and oracles.brute_deletable_set on seeded
+random orientations, strong and not strong, of multigraphs with parallel
+edges, loops and non-contiguous vertex and edge ids, and on the empty graph.
 """
 
 import random
@@ -66,10 +66,13 @@ def oracle_arcs(d):
 
 
 def cases(seed):
+    """CASES seeded random orientations, then the empty graph (n = 0), which is strong."""
     rng = random.Random(seed)
     for _ in range(CASES):
         g, cycle = random_multigraph(rng)
         yield rng, g, cycle, random_orientation(rng, g, cycle)
+    empty = Multigraph([], {})
+    yield rng, empty, {}, Orientation(empty, {})
 
 
 def oracle_strong(d):
