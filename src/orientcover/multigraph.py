@@ -232,15 +232,13 @@ class Multigraph:
                 adj[v].append(u)
         return adj
 
-    def _capacities(self) -> Dict[int, Dict[int, int]]:
-        """Parallel non-loop edges collapsed into integer capacities."""
-        cap: Dict[int, Dict[int, int]] = {v: {} for v in self._vertices}
-        for u, v in self._edges.values():
-            if u == v:
-                continue
-            cap[u][v] = cap[u].get(v, 0) + 1
-            cap[v][u] = cap[v].get(u, 0) + 1
-        return cap
+    def _network(self) -> Tuple[Dict[int, int], "_Network"]:
+        """The flow network of the non-loop edges, with the index of each vertex.
+
+        Vertex i of the network is self.vertices[i].
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return index, _Network(len(index), ((index[u], index[v]) for u, v in self._edges.values()))
 
     def local_edge_connectivity(self, u: int, v: int) -> int:
         """Maximum number of pairwise edge-disjoint u-v paths (unit capacities)."""
@@ -248,23 +246,24 @@ class Multigraph:
             raise UnknownVertexError("local edge connectivity needs two distinct vertices")
         if u not in self._vertices or v not in self._vertices:
             raise UnknownVertexError(f"unknown vertex in pair ({u}, {v})")
-        cap = self._capacities()
-        return _max_flow(cap, u, v)
+        index, net = self._network()
+        return net.max_flow((index[u],), (index[v],))[0]
 
     def edge_connectivity(self) -> int:
         """Size of a minimum edge cut; 0 for disconnected graphs.
 
-        n - 1 flows from the smallest vertex, each on a copy of one shared
-        capacity map.
+        n - 1 flows from the smallest vertex on one network, each stopped at
+        the smallest value found so far.
         """
         if self.num_vertices < 2:
             raise UnknownVertexError("edge connectivity needs at least 2 vertices")
         if not self.is_connected():
             return 0
-        verts = self.vertices
-        cap = self._capacities()
-        s = verts[0]
-        return min(_max_flow(_copy_caps(cap), s, v) for v in verts[1:])
+        _, net = self._network()
+        best = None
+        for v in range(1, self.num_vertices):
+            best = net.max_flow((0,), (v,), best)[0]
+        return best
 
     def _flow_tree(self) -> Dict[Tuple[int, int], int]:
         """Edge connectivity on the n - 1 edges of a flow-equivalent tree, keyed (u < v).
@@ -274,19 +273,20 @@ class Multigraph:
         takes one flow to its parent t, and the later children of t that the
         residual still reaches from s move under s.  For every vertex pair the
         edge connectivity is the minimum weight on their tree path, so these
-        n - 1 pairs carry all pairwise values.
+        n - 1 pairs carry all pairwise values.  The flows run on one network;
+        any maximum flow leaves the same (smallest) side reachable from s.
         """
         verts = self.vertices
-        cap = self._capacities()
-        parent = {v: verts[0] for v in verts[1:]}
+        _, net = self._network()
+        parent = [0] * len(verts)
         lam = {}
-        for i, s in enumerate(verts[1:], 1):
+        for s in range(1, len(verts)):
             t = parent[s]
-            work = _copy_caps(cap)
-            lam[(min(s, t), max(s, t))] = _max_flow(work, s, t)
-            side = _residual_side(work, s)
-            for v in verts[i + 1:]:
-                if v in side and parent[v] == t:
+            value, residual = net.max_flow((s,), (t,))
+            lam[(verts[t], verts[s])] = value
+            side = net.side(residual, (s,))
+            for v in range(s + 1, len(verts)):
+                if side[v] and parent[v] == t:
                     parent[v] = s
         return lam
 
@@ -340,39 +340,46 @@ class Multigraph:
         nontrivial 3-cut, but None proves nothing.
 
         The cut is that of the first vertex-disjoint edge pair, in edge id
-        order, whose merged ends have local connectivity 3; its side is the
-        smallest one holding the first edge and avoiding the second.
+        order, whose ends have local connectivity 3 from one pair to the
+        other; its side is the smallest one holding the first edge and
+        avoiding the second.
 
         A pinned-vertex search finds it in few flows.  In a 3-edge-connected
         graph a 3-cut is a minimum cut, so both of its sides are connected.
         Pin s, an end of the first non-loop edge: a nontrivial 3-cut then has
         a neighbour u of s on the side of s and an edge inside the other side.
         One flow per distinct neighbour u and per edge avoiding s and u thus
-        decides existence, at most deg(s) * m flows.  The other end of the
-        first edge goes first, which makes its flows the scan of the first
-        edge.  If the first edge crosses every nontrivial 3-cut, the scan goes
-        on through the next edges; each edge off the cut already found has a
-        cut of its own, so at most three more edges are scanned.
+        decides existence, at most deg(s) * m flows, all on one network.  The
+        other end of the first edge goes first, which makes its flows the scan
+        of the first edge.  If the first edge crosses every nontrivial 3-cut,
+        the scan goes on through the next edges; each edge off the cut already
+        found has a cut of its own, so at most three more edges are scanned.
         """
         nonloops = [e for e in self._edges if not self.is_loop(e)]
         if not nonloops:
             return None
-        cap = self._capacities()
+        index, net = self._network()
         s, u0 = self._edges[nonloops[0]]
         neighbours = dict.fromkeys([u0] + [self.other_end(e, s) for e in self.incident_edges(s)
                                            if not self.is_loop(e)])
         for u in neighbours:
-            found = self._3cut_around(cap, s, u)
+            found = self._3cut_around(index, net, s, u)
             if found is not None:
                 break
         if found is None or u == u0:
             return found
         # the first edge crosses every nontrivial 3-cut: the scan goes on from the second
-        return next(filter(None, (self._3cut_around(cap, *self._edges[e]) for e in nonloops[1:])))
+        return next(filter(None, (self._3cut_around(index, net, *self._edges[e]) for e in nonloops[1:])))
 
-    def _3cut_around(self, cap: Dict[int, Dict[int, int]], a: int,
+    def _3cut_around(self, index: Dict[int, int], net: "_Network", a: int,
                      b: int) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
-        """The cut of the first edge cd avoiding a and b with 3 = flow({a, b}, {c, d})."""
+        """The cut of the first edge cd avoiding a and b with 3 = flow({a, b}, {c, d}).
+
+        Each flow runs from the sources a and b to the sinks c and d and stops
+        at 4; a value of 3 is then a maximum flow, whose residual reaches the
+        smallest side holding a and b.
+        """
+        sources = (index[a], index[b])
         seen = set()
         for c, d in self._edges.values():
             if c == d or c in (a, b) or d in (a, b):
@@ -381,12 +388,10 @@ class Multigraph:
             if key in seen:
                 continue
             seen.add(key)
-            work = _copy_caps(cap)
-            src = _merge_nodes(work, a, b)
-            dst = _merge_nodes(work, c, d)
-            if _max_flow(work, src, dst) == 3:
-                # the residual holds original vertex ids; b rides with a
-                xs = frozenset(_residual_side(work, src) | {b})
+            value, residual = net.max_flow(sources, (index[c], index[d]), 4)
+            if value == 3:
+                side = net.side(residual, sources)
+                xs = frozenset(v for v, i in index.items() if side[i])
                 cut = self.edge_cut(xs)
                 if len(cut) != 3:  # pragma: no cover - guarded by flow theory
                     raise AssertionError("extracted cut does not match flow value")
@@ -466,63 +471,107 @@ class ContractionResult:
 # -- flow kernel -------------------------------------------------------------
 
 
-def _copy_caps(cap: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """A copy of a capacity map whose rows a flow may change."""
-    return {x: dict(row) for x, row in cap.items()}
+class _Network:
+    """An integer flow network on the vertices 0..n-1.
 
+    Each vertex pair joined by an arc is two paired arcs, a in the direction
+    met first and a ^ 1 back, whose capacities sit at a and a ^ 1 in one
+    flat list: an undirected edge adds 1 to both, a directed one to its own
+    direction.  adj[x] lists the arcs leaving x and head[a] is the end of
+    arc a.  Each flow works on its own copy of the list.
+    """
 
-def _merge_nodes(cap: Dict[int, Dict[int, int]], a: int, b: int) -> int:
-    """Merge node b into a inside a capacity map; returns a."""
-    nbrs = cap.pop(b)
-    for x, c in nbrs.items():
-        if x == a or x == b:
-            continue
-        cap[a][x] = cap[a].get(x, 0) + c
-        cap[x][a] = cap[x].get(a, 0) + c
-        cap[x].pop(b, None)
-    cap[a].pop(b, None)
-    return a
+    __slots__ = ("adj", "head", "cap")
 
+    def __init__(self, n: int, arcs: Iterable[Tuple[int, int]], directed: bool = False):
+        self.adj: List[List[int]] = [[] for _ in range(n)]
+        self.head: List[int] = []
+        self.cap: List[int] = []
+        pair: Dict[Tuple[int, int], int] = {}
+        for t, h in arcs:
+            if t == h:
+                continue
+            a = pair.get((t, h))
+            if a is None:
+                a = len(self.head)
+                pair[(t, h)] = a
+                pair[(h, t)] = a ^ 1
+                self.head += (h, t)
+                self.cap += (0, 0)
+                self.adj[t].append(a)
+                self.adj[h].append(a ^ 1)
+            self.cap[a] += 1
+            if not directed:
+                self.cap[a ^ 1] += 1
 
-def _max_flow(cap: Dict[int, Dict[int, int]], s: int, t: int) -> int:
-    """Edmonds-Karp on an integer capacity map, mutating it into a residual."""
-    flow = 0
-    while True:
-        parent = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            x = queue.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
+    def max_flow(self, sources: Sequence[int], sinks: Sequence[int],
+                 limit: Optional[int] = None) -> Tuple[int, List[int]]:
+        """(value, residual capacities) of a flow from the sources to the sinks.
+
+        Edmonds-Karp on a copy of the capacity list: breadth-first augmenting
+        paths from all sources at once to the first sink reached.  The flow
+        stops at its bound, the least of limit and the capacities out of the
+        sources and into the sinks, so the value is min(limit, maximum flow)
+        and no search is spent to prove a flow that reached the terminal
+        capacity maximal.  Below limit the residual is that of a maximum flow.
+        """
+        adj, head = self.adj, self.head
+        res = self.cap[:]
+        n = len(adj)
+        role = [0] * n  # 1 for a source, 2 for a sink
+        for s in sources:
+            role[s] = 1
+        for t in sinks:
+            role[t] = 2
+        bound = min(sum(res[a] for s in sources for a in adj[s] if role[head[a]] != 1),
+                    sum(res[a ^ 1] for t in sinks for a in adj[t] if role[head[a]] != 2))
+        if limit is not None and limit < bound:
+            bound = limit
+        flow = 0
+        while flow < bound:
+            via = [-1] * n  # the arc that reached each vertex; -2 at a source
+            for s in sources:
+                via[s] = -2
+            queue = list(sources)
+            end = -1
+            for x in queue:
+                for a in adj[x]:
+                    y = head[a]
+                    if res[a] and via[y] == -1:
+                        via[y] = a
+                        if role[y] == 2:
+                            end = y
+                            break
+                        queue.append(y)
+                if end >= 0:
+                    break
+            if end < 0:
+                break
+            push = bound - flow
+            a = via[end]
+            while a >= 0:
+                if res[a] < push:
+                    push = res[a]
+                a = via[head[a ^ 1]]
+            a = via[end]
+            while a >= 0:
+                res[a] -= push
+                res[a ^ 1] += push
+                a = via[head[a ^ 1]]
+            flow += push
+        return flow, res
+
+    def side(self, residual: List[int], sources: Sequence[int]) -> List[bool]:
+        """A flag per vertex: reachable from the sources in residual."""
+        adj, head = self.adj, self.head
+        seen = [False] * len(adj)
+        for s in sources:
+            seen[s] = True
+        queue = list(sources)
+        for x in queue:
+            for a in adj[x]:
+                y = head[a]
+                if residual[a] and not seen[y]:
+                    seen[y] = True
                     queue.append(y)
-        if t not in parent:
-            return flow
-        # unit-style bottleneck
-        bottleneck = None
-        y = t
-        while parent[y] is not None:
-            x = parent[y]
-            c = cap[x][y]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            y = x
-        y = t
-        while parent[y] is not None:
-            x = parent[y]
-            cap[x][y] -= bottleneck
-            cap[y][x] = cap[y].get(x, 0) + bottleneck
-            y = x
-        flow += bottleneck
-
-
-def _residual_side(cap: Dict[int, Dict[int, int]], s: int) -> set:
-    """Vertices reachable from s in the residual left by _max_flow."""
-    side = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for y, c in cap[x].items():
-            if c > 0 and y not in side:
-                side.add(y)
-                queue.append(y)
-    return side
+        return seen

@@ -22,7 +22,7 @@ from .errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
-from .multigraph import ContractionResult, Multigraph, _max_flow
+from .multigraph import ContractionResult, Multigraph, _Network
 
 
 class Orientation:
@@ -298,24 +298,29 @@ def is_k_arc_connected(d: Orientation, k: int) -> bool:
         return True
     if k == 1:
         return is_strongly_connected(d)
-    verts = g.vertices
-    s = verts[0]
-    for v in verts[1:]:
-        if directed_local_connectivity(d, s, v) < k:
+    _, net = _arc_network(d)
+    for v in range(1, g.num_vertices):
+        if net.max_flow((0,), (v,), k)[0] < k:
             return False
-        if directed_local_connectivity(d, v, s) < k:
+        if net.max_flow((v,), (0,), k)[0] < k:
             return False
     return True
+
+
+def _arc_network(d: Orientation) -> Tuple[Dict[int, int], _Network]:
+    """The directed flow network of d's arcs, with the index of each vertex."""
+    n, _, arcs = _indexed_arcs(d)
+    return {v: i for i, v in enumerate(d.graph.vertices)}, _Network(n, arcs, directed=True)
 
 
 def directed_local_connectivity(d: Orientation, u: int, v: int) -> int:
     """Maximum number of arc-disjoint directed u->v paths."""
     if u == v:
         raise UnknownVertexError("directed connectivity needs distinct vertices")
-    cap: Dict[int, Dict[int, int]] = {x: {} for x in d.graph.vertices}
-    for _, t, h in d.arcs():
-        cap[t][h] = cap[t].get(h, 0) + 1
-    return _max_flow(cap, u, v)
+    index, net = _arc_network(d)
+    if u not in index or v not in index:
+        raise UnknownVertexError(f"unknown vertex in pair ({u}, {v})")
+    return net.max_flow((index[u],), (index[v],))[0]
 
 
 # -- contraction -----------------------------------------------------------------
@@ -481,18 +486,21 @@ def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int
     flow-equivalent tree of Multigraph._flow_tree.  Its pairs suffice: directed
     connectivity obeys lambda_D(u, w) >= min(lambda_D(u, v), lambda_D(v, w)),
     and floor(min / 2) is the minimum of the halves, so the condition on the
-    tree edges of a path gives it for the path's ends.
+    tree edges of a path gives it for the path's ends.  All flows run on one
+    directed network of d, each stopped once it reaches its requirement.
     """
     if lam is None:
         lam = g._flow_tree()
+    index, net = _arc_network(d)
     # high requirements first: they fail fastest
     for (u, v), l in sorted(lam.items(), key=lambda kv: -kv[1]):
         need = l // 2
         if need == 0:
             continue
-        if directed_local_connectivity(d, u, v) < need:
+        iu, iv = index[u], index[v]
+        if net.max_flow((iu,), (iv,), need)[0] < need:
             return False
-        if directed_local_connectivity(d, v, u) < need:
+        if net.max_flow((iv,), (iu,), need)[0] < need:
             return False
     return True
 

@@ -3,10 +3,13 @@
 Deliberately naive and structurally different from the package code: strong
 connectivity runs a Warshall closure over an adjacency matrix, cuts come from
 explicit subset enumeration, and minimum covers come from itertools over
-distinct deletable sets.  Nothing here imports solver internals.
+distinct deletable sets.  The reference flow kernel is the package's former
+one: Edmonds-Karp on a dict-of-dicts capacity map copied per flow, with
+terminal pairs merged into one node.  Nothing here imports solver internals.
 """
 
 import itertools
+from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 Edge = Tuple[int, int, int]  # (edge id, u, v)
@@ -167,8 +170,9 @@ def has_triangle(pairs: Sequence[Tuple[int, int]]) -> bool:
 def random_cubic_3ec_pairs(rng, n: int, triangle: bool) -> List[Tuple[int, int]]:
     """Configuration-model cubic graph on n vertices, with or without a triangle.
 
-    Redrawn until simple, triangle-matching and 3-edge-connected by
-    subset enumeration; positions in the list are the edge ids.
+    Redrawn until simple, triangle-matching and 3-edge-connected by the
+    reference flows, which reach 64 vertices; positions in the list are the
+    edge ids.
     """
     while True:
         points = [v for v in range(n) for _ in range(3)]
@@ -179,7 +183,7 @@ def random_cubic_3ec_pairs(rng, n: int, triangle: bool) -> List[Tuple[int, int]]
             continue
         if has_triangle(pairs) != triangle:
             continue
-        if brute_min_cut(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)]) >= 3:
+        if ref_edge_connectivity(range(n), [(i, u, v) for i, (u, v) in enumerate(pairs)]) >= 3:
             return pairs
 
 
@@ -277,3 +281,172 @@ def brute_deletable_profiles(vertices: Sequence[int], edges: Sequence[Edge]) -> 
                 deletable |= 1 << i
         profiles.setdefault(deletable, mask)
     return profiles
+
+
+# -- reference flow kernel: Edmonds-Karp on a dict-of-dicts capacity map ----------
+
+
+def ref_capacities(vertices: Iterable[int], arcs: Iterable[Tuple[int, int]],
+                   directed: bool = False) -> Dict[int, Dict[int, int]]:
+    """Capacity map of (tail, head) pairs, loops dropped; undirected pairs count both ways."""
+    cap: Dict[int, Dict[int, int]] = {v: {} for v in vertices}
+    for u, v in arcs:
+        if u == v:
+            continue
+        cap[u][v] = cap[u].get(v, 0) + 1
+        if not directed:
+            cap[v][u] = cap[v].get(u, 0) + 1
+    return cap
+
+
+def ref_copy_caps(cap: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """A copy of a capacity map whose rows a flow may change."""
+    return {x: dict(row) for x, row in cap.items()}
+
+
+def ref_merge_nodes(cap: Dict[int, Dict[int, int]], a: int, b: int) -> int:
+    """Merge node b into a inside a symmetric capacity map; returns a."""
+    nbrs = cap.pop(b)
+    for x, c in nbrs.items():
+        if x == a or x == b:
+            continue
+        cap[a][x] = cap[a].get(x, 0) + c
+        cap[x][a] = cap[x].get(a, 0) + c
+        cap[x].pop(b, None)
+    cap[a].pop(b, None)
+    return a
+
+
+def ref_max_flow(cap: Dict[int, Dict[int, int]], s, t) -> int:
+    """Edmonds-Karp on an integer capacity map, mutating it into a residual."""
+    flow = 0
+    while True:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            x = queue.popleft()
+            for y, c in cap[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if t not in parent:
+            return flow
+        bottleneck = None
+        y = t
+        while parent[y] is not None:
+            x = parent[y]
+            c = cap[x][y]
+            bottleneck = c if bottleneck is None else min(bottleneck, c)
+            y = x
+        y = t
+        while parent[y] is not None:
+            x = parent[y]
+            cap[x][y] -= bottleneck
+            cap[y][x] = cap[y].get(x, 0) + bottleneck
+            y = x
+        flow += bottleneck
+
+
+def ref_residual_side(cap: Dict[int, Dict[int, int]], s) -> Set:
+    """Vertices reachable from s in the residual left by ref_max_flow."""
+    side = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y, c in cap[x].items():
+            if c > 0 and y not in side:
+                side.add(y)
+                queue.append(y)
+    return side
+
+
+def ref_set_flow(vertices: Sequence[int], arcs: Sequence[Tuple[int, int]], directed: bool,
+                 sources: Iterable[int], sinks: Iterable[int]) -> Tuple[int, FrozenSet[int]]:
+    """(maximum flow, residual side) from a set of sources to a set of sinks.
+
+    A super-source feeds every source and every sink drains into a
+    super-sink, each through one arc larger than all capacities together.
+    """
+    cap = ref_capacities(vertices, arcs, directed)
+    big = 2 * len(arcs) + 1
+    cap["source"] = {s: big for s in sources}
+    cap["sink"] = {}
+    for t in sinks:
+        cap[t]["sink"] = big
+    value = ref_max_flow(cap, "source", "sink")
+    return value, frozenset(ref_residual_side(cap, "source") - {"source"})
+
+
+def brute_min_cut_between(vertices: Sequence[int], arcs: Sequence[Tuple[int, int]],
+                          sources: Iterable[int], sinks: Iterable[int]) -> int:
+    """Fewest (tail, head) arcs leaving a vertex set that holds the sources and no sink."""
+    verts = list(vertices)
+    src, dst = set(sources), set(sinks)
+    best = len(arcs)
+    for mask in range(1 << len(verts)):
+        xs = {verts[i] for i in range(len(verts)) if (mask >> i) & 1}
+        if src <= xs and not dst & xs:
+            best = min(best, sum(1 for t, h in arcs if t in xs and h not in xs))
+    return best
+
+
+def ref_edge_connectivity(vertices: Sequence[int], edges: Sequence[Edge]) -> int:
+    """n - 1 reference flows from the first vertex; 0 when disconnected."""
+    cap = ref_capacities(vertices, [(u, v) for _, u, v in edges])
+    return min(ref_max_flow(ref_copy_caps(cap), vertices[0], v) for v in vertices[1:])
+
+
+def ref_flow_tree(vertices: Sequence[int], edges: Sequence[Edge]) -> Dict[Tuple[int, int], int]:
+    """Multigraph._flow_tree's Gusfield tree on the reference kernel, keyed (u < v)."""
+    verts = sorted(vertices)
+    cap = ref_capacities(verts, [(u, v) for _, u, v in edges])
+    parent = {v: verts[0] for v in verts[1:]}
+    lam = {}
+    for i, s in enumerate(verts[1:], 1):
+        t = parent[s]
+        work = ref_copy_caps(cap)
+        lam[(min(s, t), max(s, t))] = ref_max_flow(work, s, t)
+        side = ref_residual_side(work, s)
+        for v in verts[i + 1:]:
+            if v in side and parent[v] == t:
+                parent[v] = s
+    return lam
+
+
+def ref_nontrivial_3cut(vertices: Sequence[int],
+                        edges: Sequence[Edge]) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    """The pinned-vertex 3-cut search on the reference kernel, with merged terminals.
+
+    Same scan order as Multigraph.find_nontrivial_3cut: pin the ends s, u0 of
+    the first non-loop edge by id, try u0 and then the other neighbours of s
+    by edge id, and scan the later edges only if the cut found avoids u0.
+    """
+    ends = {e: (u, v) for e, u, v in sorted(edges)}
+    cap = ref_capacities(vertices, ends.values())
+    nonloops = [e for e, (u, v) in ends.items() if u != v]
+
+    def around(a: int, b: int):
+        seen = set()
+        for c, d in ends.values():
+            if c == d or c in (a, b) or d in (a, b) or (min(c, d), max(c, d)) in seen:
+                continue
+            seen.add((min(c, d), max(c, d)))
+            work = ref_copy_caps(cap)
+            src = ref_merge_nodes(work, a, b)
+            if ref_max_flow(work, src, ref_merge_nodes(work, c, d)) == 3:
+                xs = frozenset(ref_residual_side(work, src) | {b})
+                return xs, frozenset(e for e, (x, y) in ends.items() if (x in xs) != (y in xs))
+        return None
+
+    if not nonloops:
+        return None
+    s, u0 = ends[nonloops[0]]
+    neighbours = dict.fromkeys([u0] + [y if x == s else x for e, (x, y) in ends.items()
+                                       if x != y and s in (x, y)])
+    for u in neighbours:
+        found = around(s, u)
+        if found is not None:
+            break
+    if found is None or u == u0:
+        return found
+    return next(filter(None, (around(*ends[e]) for e in nonloops[1:])))

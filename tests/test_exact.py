@@ -17,7 +17,7 @@ from orientcover.exact import (
     frank_number_exact,
     verify_certificate,
 )
-from orientcover.multigraph import Multigraph
+from orientcover.multigraph import Multigraph, _Network
 from orientcover.orientation import (
     Orientation,
     deletable_arcs,
@@ -485,18 +485,25 @@ def test_search_reaches_exactly_the_ok_strong_leaves_in_order():
 
 def test_decide_runs_no_max_flow(monkeypatch):
     # the search branches in edge-id order, so a decision builds no flow tree
-    calls = []
-    flow_tree = Multigraph._flow_tree
-
-    def counted(self):
-        calls.append(self)
-        return flow_tree(self)
-
-    monkeypatch.setattr(Multigraph, "_flow_tree", counted)
+    # and runs no flow at all (building the gadget checks its lambda first)
     cases = [(named_graph("petersen"), [5, 6, 7, 8, 9]), (named_graph("hub_triangles"), [8, 9, 11]),
              (named_graph("prism3"), [6, 7, 8]), (named_graph("k5"), list(range(10)))]
     inst = build_gadget(parse_formula(PAPER_EXAMPLE))
     cases.append((inst.graph, inst.s))
+    calls = []
+    flow_tree = Multigraph._flow_tree
+    max_flow = _Network.max_flow
+
+    def counted_tree(self):
+        calls.append(self)
+        return flow_tree(self)
+
+    def counted_flow(self, *args):
+        calls.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(Multigraph, "_flow_tree", counted_tree)
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
     for g, s in cases:
         assert deletability_decide(g, s).nodes > 0
     assert calls == []
