@@ -202,7 +202,7 @@ class Multigraph:
         """Vertex partition by connectivity; loops are irrelevant."""
         seen: set = set()
         comps: List[FrozenSet[int]] = []
-        adj = self._adjacency()
+        links = self._links()
         for root in sorted(self._vertices):
             if root in seen:
                 continue
@@ -211,7 +211,7 @@ class Multigraph:
             seen.add(root)
             while queue:
                 x = queue.popleft()
-                for y in adj[x]:
+                for _, y in links[x]:
                     if y not in seen:
                         seen.add(y)
                         comp.add(y)
@@ -224,13 +224,14 @@ class Multigraph:
             return True
         return len(self.connected_components()) == 1
 
-    def _adjacency(self) -> Dict[int, List[int]]:
-        adj: Dict[int, List[int]] = {v: [] for v in self._vertices}
-        for u, v in self._edges.values():
+    def _links(self) -> Dict[int, List[Tuple[int, int]]]:
+        """(edge id, other end) for each non-loop edge at each vertex, by edge id."""
+        links: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self._vertices}
+        for e, (u, v) in self._edges.items():
             if u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        return adj
+                links[u].append((e, v))
+                links[v].append((e, u))
+        return links
 
     def _network(self) -> Tuple[Dict[int, int], "_Network"]:
         """The flow network of the non-loop edges, with the index of each vertex.
@@ -322,15 +323,104 @@ class Multigraph:
             out.append(bottleneck[u][v])
         return out
 
+    def _signatures(self) -> Tuple[Dict[int, int], int]:
+        """(signature of each non-loop edge, number of components), over a spanning forest.
+
+        The forest grows breadth-first from each unreached vertex in turn.
+        Non-tree edge number i, in id order, has signature 1 << i, the bit of
+        its fundamental cycle; a tree edge has the bits of the non-tree edges
+        with exactly one end below it, those of the fundamental cycles through
+        it.  An edge set is an edge cut exactly when it meets every cycle
+        evenly, that is when the signatures of its edges XOR to 0 (Pritchard
+        and Thurimella 2011, with exact integers in place of random labels).
+        """
+        links = self._links()
+        via: Dict[int, Optional[int]] = {}  # the tree edge that reached each vertex
+        order: List[int] = []
+        components = 0
+        for root in self.vertices:
+            if root in via:
+                continue
+            components += 1
+            via[root] = None
+            queue = [root]
+            for x in queue:
+                for e, y in links[x]:
+                    if y not in via:
+                        via[y] = e
+                        queue.append(y)
+            order += queue
+        tree = set(via.values())
+        below = dict.fromkeys(self._vertices, 0)
+        sig: Dict[int, int] = {}
+        for e, (u, v) in self._edges.items():
+            if u != v and e not in tree:
+                sig[e] = 1 << len(sig)
+                below[u] ^= sig[e]
+                below[v] ^= sig[e]
+        for x in reversed(order):
+            e = via[x]
+            if e is not None:
+                sig[e] = below[x]
+                below[self.other_end(e, x)] ^= below[x]
+        return sig, components
+
+    def is_3_edge_connected(self) -> bool:
+        """At least 2 vertices and no edge cut of fewer than 3 edges.
+
+        One signature pass and no flow: the graph is connected, no edge is a
+        cut on its own (signature 0) and no two edges form one (equal
+        signatures).
+        """
+        if self.num_vertices < 2:
+            return False
+        sig, components = self._signatures()
+        return components == 1 and 0 not in sig.values() and len(set(sig.values())) == len(sig)
+
+    def _3cuts(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+        """(side, cut) for each edge cut of 3 edges with both sides >= 2 vertices.
+
+        The candidates are the edge triples whose signatures XOR to 0, by edge
+        id, less the stars of vertices with three non-loop edges.  A side is
+        the component of G - cut holding an end of the cut's first edge; it
+        is kept when the cut is exactly its boundary, which is always so when
+        the graph is 3-edge-connected.
+        """
+        sig, _ = self._signatures()
+        links = self._links()
+        edges = sorted(sig)
+        by_sig: Dict[int, List[int]] = {}
+        for e in edges:
+            by_sig.setdefault(sig[e], []).append(e)
+        stars = {frozenset(e for e, _ in out) for out in links.values() if len(out) == 3}
+        found = []
+        for i, e in enumerate(edges):
+            for f in edges[i + 1:]:
+                for h in by_sig.get(sig[e] ^ sig[f], ()):
+                    if h <= f:
+                        continue
+                    cut = frozenset((e, f, h))
+                    if cut in stars:
+                        continue
+                    side = {self._edges[e][0]}
+                    queue = list(side)
+                    for x in queue:
+                        for k, y in links[x]:
+                            if k not in cut and y not in side:
+                                side.add(y)
+                                queue.append(y)
+                    if 2 <= len(side) <= self.num_vertices - 2 and self.edge_cut(side) == cut:
+                        found.append((frozenset(side), cut))
+        return found
+
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
 
-        Tested as edge connectivity >= 3 followed by the pinned-vertex search
-        of find_nontrivial_3cut.
+        Graphs of fewer than 2 vertices qualify.  Otherwise one signature pass
+        tests 3-edge-connectivity and another lists the nontrivial 3-cuts of
+        _3cuts; no flow is run.
         """
-        if self.num_vertices >= 2 and self.edge_connectivity() < 3:
-            return False
-        return self.find_nontrivial_3cut() is None
+        return self.num_vertices < 2 or (self.is_3_edge_connected() and not self._3cuts())
 
     def find_nontrivial_3cut(self) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """One (side, cut edge ids) with d(side) = 3 and both sides >= 2 vertices.
@@ -339,105 +429,36 @@ class Multigraph:
         3-edge-connected; on other graphs a cut returned is still a valid
         nontrivial 3-cut, but None proves nothing.
 
-        The cut is that of the first vertex-disjoint edge pair, in edge id
-        order, whose ends have local connectivity 3 from one pair to the
-        other; its side is the smallest one holding the first edge and
-        avoiding the second.
-
-        A pinned-vertex search finds it in few flows.  In a 3-edge-connected
-        graph a 3-cut is a minimum cut, so both of its sides are connected.
-        Pin s, an end of the first non-loop edge: a nontrivial 3-cut then has
-        a neighbour u of s on the side of s and an edge inside the other side.
-        One flow per distinct neighbour u and per edge avoiding s and u thus
-        decides existence, at most deg(s) * m flows, all on one network.  The
-        other end of the first edge goes first, which makes its flows the scan
-        of the first edge.  If the first edge crosses every nontrivial 3-cut,
-        the scan goes on through the next edges; each edge off the cut already
-        found has a cut of its own, so at most three more edges are scanned.
+        The cut is that of the first vertex-disjoint edge pair ab, cd, in edge
+        id order, that a 3-cut separates; its side is the smallest one holding
+        a and b and avoiding c and d.  The candidates are the cuts of _3cuts,
+        so no flow is run.  In a 3-edge-connected graph every 3-cut is a
+        minimum cut, and by submodularity the sides holding a and b and
+        avoiding c and d are closed under intersection: the smallest is unique
+        and is the side a maximum flow from {a, b} to {c, d} leaves reachable.
         """
-        nonloops = [e for e in self._edges if not self.is_loop(e)]
-        if not nonloops:
+        cuts = self._3cuts()
+        if not cuts:
             return None
-        index, net = self._network()
-        s, u0 = self._edges[nonloops[0]]
-        neighbours = dict.fromkeys([u0] + [self.other_end(e, s) for e in self.incident_edges(s)
-                                           if not self.is_loop(e)])
-        for u in neighbours:
-            found = self._3cut_around(index, net, s, u)
-            if found is not None:
-                break
-        if found is None or u == u0:
-            return found
-        # the first edge crosses every nontrivial 3-cut: the scan goes on from the second
-        return next(filter(None, (self._3cut_around(index, net, *self._edges[e]) for e in nonloops[1:])))
-
-    def _3cut_around(self, index: Dict[int, int], net: "_Network", a: int,
-                     b: int) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
-        """The cut of the first edge cd avoiding a and b with 3 = flow({a, b}, {c, d}).
-
-        Each flow runs from the sources a and b to the sinks c and d and stops
-        at 4; a value of 3 is then a maximum flow, whose residual reaches the
-        smallest side holding a and b.
-        """
-        sources = (index[a], index[b])
-        seen = set()
-        for c, d in self._edges.values():
-            if c == d or c in (a, b) or d in (a, b):
+        for a, b in self._edges.values():
+            if a == b:
                 continue
-            key = (min(c, d), max(c, d))
-            if key in seen:
-                continue
-            seen.add(key)
-            value, residual = net.max_flow(sources, (index[c], index[d]), 4)
-            if value == 3:
-                side = net.side(residual, sources)
-                xs = frozenset(v for v, i in index.items() if side[i])
-                cut = self.edge_cut(xs)
-                if len(cut) != 3:  # pragma: no cover - guarded by flow theory
-                    raise AssertionError("extracted cut does not match flow value")
-                return xs, cut
+            held = [(side, cut) if a in side else (self._vertices - side, cut)
+                    for side, cut in cuts if (a in side) == (b in side)]
+            for c, d in self._edges.values():
+                if c == d or c in (a, b) or d in (a, b):
+                    continue
+                sides = [(side, cut) for side, cut in held if c not in side and d not in side]
+                if sides:
+                    return min(sides, key=lambda sc: len(sc[0]))
         return None
 
     # -- bridges and 2-edge-connected pieces ---------------------------------
 
     def bridges(self) -> Tuple[int, ...]:
-        """Edge ids whose deletion disconnects their component."""
-        disc: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        result: List[int] = []
-        counter = 0
-        inc = {
-            v: [(e, self.other_end(e, v)) for e in self.incident_edges(v) if not self.is_loop(e)]
-            for v in self._vertices
-        }
-        for root in sorted(self._vertices):
-            if root in disc:
-                continue
-            stack = [(root, -1, iter(inc[root]))]
-            disc[root] = low[root] = counter
-            counter += 1
-            while stack:
-                v, via, it = stack[-1]
-                advanced = False
-                for e, w in it:
-                    if e == via:
-                        continue
-                    if w not in disc:
-                        disc[w] = low[w] = counter
-                        counter += 1
-                        stack.append((w, e, iter(inc[w])))
-                        advanced = True
-                        break
-                    low[v] = min(low[v], disc[w])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    parent, pe, _ = stack[-1]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        result.append(via)
-        return tuple(sorted(result))
+        """Edge ids whose deletion disconnects their component: signature 0."""
+        sig, _ = self._signatures()
+        return tuple(sorted(e for e, s in sig.items() if s == 0))
 
     def maximal_2ec_subgraphs(self) -> Tuple[FrozenSet[int], ...]:
         """Vertex classes of the maximal 2-edge-connected subgraphs.

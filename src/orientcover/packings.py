@@ -57,7 +57,7 @@ def _check_cubic_3ec(g: Multigraph) -> None:
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
-    if g.num_vertices >= 2 and g.edge_connectivity() < 3:
+    if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("need a 3-edge-connected graph")
 
 
@@ -65,7 +65,8 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
     """Verify properties (a) and (b) and bundle the result."""
     if len(packings) != 7:
         raise InternalVerificationError(f"expected 7 packings, got {len(packings)}")
-    specials = tuple(_special_set(g, p) for p in packings)
+    special_of = {p: _special_set(g, p) for p in dict.fromkeys(packings)}
+    specials = tuple(special_of[p] for p in packings)
     membership: Dict[int, Tuple[int, ...]] = {}
     witness: Dict[int, int] = {}
     for e in g.edge_ids:

@@ -91,7 +91,7 @@ def _finish(
 
 
 def _require_3ec(g: Multigraph) -> None:
-    if g.num_vertices < 2 or g.edge_connectivity() < 3:
+    if not g.is_3_edge_connected():
         raise PreconditionError("not 3-edge-connected")
 
 
@@ -155,16 +155,19 @@ def _matching_orientations(g: Multigraph, matchings: Sequence[FrozenSet[int]]
     """One orientation per perfect matching M of the checked cubic g, M deletable in it.
 
     E − M is a cycle packing, and its special-set orientation makes M
-    deletable.  Each edge is covered at the first matching that holds it.
+    deletable; a matching that repeats (a double cover may hold one twice)
+    is oriented once.  Each edge is covered at the first matching that
+    holds it.
     """
-    orientations = []
+    oriented = {}
+    for mk in dict.fromkeys(matchings):
+        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
+        oriented[mk] = _orient_special_set_deletable(g, packing, _special_set(g, packing))
     cover: Dict[int, int] = {}
     for k, mk in enumerate(matchings):
-        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        orientations.append(_orient_special_set_deletable(g, packing, _special_set(g, packing)))
         for e in mk:
             cover.setdefault(e, k)
-    return orientations, cover
+    return [oriented[mk] for mk in matchings], cover
 
 
 # -- matching orientations (essentially 4-edge-connected hosts) -----------------------
@@ -289,8 +292,10 @@ def certify_upper7(g: Multigraph) -> PipelineReport:
     _require_3ec(g)
     if _is_cubic(g):
         sp = _seven_cycle_packings(g)
-        orientations = [_orient_special_set_deletable(g, p, special)
-                        for p, special in zip(sp.packings, sp.special_sets)]
+        # the seven packings repeat: orient each distinct one once
+        oriented = {p: _orient_special_set_deletable(g, p, special)
+                    for p, special in dict.fromkeys(zip(sp.packings, sp.special_sets))}
+        orientations = [oriented[p] for p in sp.packings]
         cover = dict(sp.witness)
         prov = tuple(f"special-set-packing-{k}" for k in range(7))
         return _finish("seven", g, ("3-edge-connected", "cubic"), orientations, cover, prov, 7)

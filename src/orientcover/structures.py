@@ -304,7 +304,10 @@ def _berge_fulkerson_cover(g: Multigraph, node_budget: int) -> CoverSearchResult
     nodes = 0
     out_of_budget = False
 
-    cover_of = {e: [i for i, m in enumerate(matchings) if e in m] for e in edges}
+    cover_of: Dict[int, List[int]] = {e: [] for e in edges}
+    for i, m in enumerate(matchings):
+        for e in m:
+            cover_of[e].append(i)
 
     def rec(picked: int) -> Optional[List[int]]:
         nonlocal nodes, out_of_budget
@@ -543,7 +546,7 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
     (PreconditionError otherwise); the pipelines and seven_cycle_packings
     check once at entry and compute special sets directly.
     """
-    if g.num_vertices >= 2 and g.edge_connectivity() < 3:
+    if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("special sets are defined over 3-edge-connected graphs")
     return _special_set(g, p)
 
@@ -670,7 +673,7 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
     g = d.graph
     if not is_strongly_connected(d):
         raise NotStronglyConnectedError("circuit-arc search needs a strongly connected orientation")
-    if g.num_vertices >= 2 and g.edge_connectivity() < 3:
+    if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("circuit-arc search needs a 3-edge-connected host")
     if not is_circuit_in(d, c):
         raise PreconditionError("the given cycle is not a circuit of the orientation")

@@ -79,6 +79,19 @@ def brute_3cuts(vertices: Sequence[int], edges: Sequence[Edge]) -> List[FrozenSe
     return out
 
 
+def brute_3edge_cuts(vertices: Sequence[int], edges: Sequence[Edge]) -> Dict[FrozenSet[int], Set[FrozenSet[int]]]:
+    """Each edge cut of exactly 3 edge ids, with every vertex set X whose cut it is."""
+    verts = list(vertices)
+    n = len(verts)
+    out: Dict[FrozenSet[int], Set[FrozenSet[int]]] = {}
+    for mask in range(1, (1 << n) - 1):
+        xs = frozenset(verts[i] for i in range(n) if (mask >> i) & 1)
+        cut = frozenset(e for e, u, v in edges if u != v and (u in xs) != (v in xs))
+        if len(cut) == 3:
+            out.setdefault(cut, set()).add(xs)
+    return out
+
+
 def brute_has_nontrivial_3cut(vertices: Sequence[int], edges: Sequence[Edge]) -> bool:
     return any(2 <= len(xs) <= len(vertices) - 2 for xs in brute_3cuts(vertices, edges))
 
@@ -415,11 +428,13 @@ def ref_flow_tree(vertices: Sequence[int], edges: Sequence[Edge]) -> Dict[Tuple[
 
 def ref_nontrivial_3cut(vertices: Sequence[int],
                         edges: Sequence[Edge]) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
-    """The pinned-vertex 3-cut search on the reference kernel, with merged terminals.
+    """The former flow-based 3-cut search of Multigraph.find_nontrivial_3cut,
+    on the reference kernel with merged terminals.
 
-    Same scan order as Multigraph.find_nontrivial_3cut: pin the ends s, u0 of
-    the first non-loop edge by id, try u0 and then the other neighbours of s
-    by edge id, and scan the later edges only if the cut found avoids u0.
+    Pin the ends s, u0 of the first non-loop edge by id, try u0 and then the
+    other neighbours of s by edge id, and scan the later edges only if the
+    cut found avoids u0.  Each try takes the first edge cd avoiding its pair
+    whose flow from the pair is 3, and the side its residual reaches.
     """
     ends = {e: (u, v) for e, u, v in sorted(edges)}
     cap = ref_capacities(vertices, ends.values())

@@ -2,8 +2,10 @@
 
 No module imports a name it never uses, none calls itertools.product (the
 one exhaustive orientation search is exact._search, and the 2^m reference
-loops live in tests/oracles.py), and every private function or method is
-reached from the package outside its own body.  Standard library only (ast),
+loops live in tests/oracles.py), every private function or method is
+reached from the package outside its own body, and no expression tests
+edge_connectivity() against the threshold 3 (every such test goes through
+the flow-free Multigraph.is_3_edge_connected).  Standard library only (ast),
 since no linter is part of the toolchain.  The package's __init__.py is
 exempt from the import check: its imports are the public re-exports.
 """
@@ -122,3 +124,49 @@ def test_checker_flags_a_dead_private_function():
     assert dead_private_functions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached"),
         ("a.py", 27, "leftover")]
+
+
+# The ordered comparisons that state "lambda >= 3" or its negation, keyed by
+# the constant on the right of edge_connectivity() (or on the left, mirrored).
+_THRESHOLD_3 = {(ast.Lt, 3), (ast.GtE, 3), (ast.Gt, 2), (ast.LtE, 2)}
+_MIRROR = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE}
+
+
+def threshold_3_tests(source: str):
+    """Lines comparing a call of .edge_connectivity() with 3 as a lambda >= 3 threshold.
+
+    Tests of the exact value, such as == 3 or != 3, are left alone: they
+    need the number.
+    """
+    def is_lambda(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "edge_connectivity")
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left] + node.comparators
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if is_lambda(left) and isinstance(right, ast.Constant):
+                key = (type(op), right.value)
+            elif is_lambda(right) and isinstance(left, ast.Constant) and type(op) in _MIRROR:
+                key = (_MIRROR[type(op)], left.value)
+            else:
+                continue
+            if key in _THRESHOLD_3:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_edge_connectivity_threshold_3(path):
+    assert threshold_3_tests(path.read_text()) == []
+
+
+def test_checker_flags_an_edge_connectivity_threshold_3():
+    source = ("a = g.edge_connectivity() < 3\nb = g.edge_connectivity() >= 3\n"
+              "c = 3 <= g.edge_connectivity()\nd = n >= 2 and g.edge_connectivity() > 2\n"
+              "e = g.edge_connectivity() != 3\nf = g.edge_connectivity() < 4\n"
+              "h = g.edge_connectivity() < 2\ni = lam < 3\n")
+    assert threshold_3_tests(source) == [1, 2, 3, 4]

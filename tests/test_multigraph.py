@@ -7,13 +7,16 @@ from hypothesis import given, strategies as st
 
 from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import UnknownEdgeError, UnknownVertexError
-from orientcover.multigraph import BECAME_LOOP, CONTRACTED_AWAY, KEPT, Multigraph
+from orientcover.multigraph import BECAME_LOOP, CONTRACTED_AWAY, KEPT, Multigraph, _Network
+from orientcover.pipelines import _require_3ec
 
 from oracles import (
     brute_3cuts,
+    brute_3edge_cuts,
     brute_first_pair_3cut,
     brute_has_nontrivial_3cut,
     brute_min_cut,
+    generalized_petersen_pairs,
     random_cubic_3ec_pairs,
 )
 
@@ -202,6 +205,92 @@ def test_3cut_search_on_graphs_below_3ec_returns_only_valid_cuts():
             assert len(edges) == 3 and g.edge_cut(side) == edges
             assert 2 <= len(side) <= g.num_vertices - 2
     assert found >= 10
+
+
+# -- cycle-space signatures ---------------------------------------------------------
+
+
+def seeded_multigraphs(count, seed):
+    """Multigraphs on 1-7 vertices with loops, parallel edges and isolated vertices."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        out.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
+    return out
+
+
+def signature_triples(g):
+    """Triples of non-loop edges whose signatures XOR to 0."""
+    sig, _ = g._signatures()
+    return {frozenset(t) for t in itertools.combinations(sorted(sig), 3)
+            if sig[t[0]] ^ sig[t[1]] == sig[t[2]]}
+
+
+def test_signature_triples_are_the_3_edge_cuts():
+    graphs = [g for _, g in small_3ec_graphs()] + seeded_multigraphs(150, 11)
+    for g in graphs:
+        assert signature_triples(g) == set(brute_3edge_cuts(g.vertices, as_edges(g))), g
+
+
+def test_signature_cuts_match_subset_enumeration():
+    graphs = small_3ec_graphs()
+    with_cuts = 0
+    for name, g in graphs:
+        everything = frozenset(g.vertices)
+        listed = {(cut, frozenset((side, everything - side))) for side, cut in g._3cuts()}
+        expected = {(cut, frozenset(sides)) for cut, sides in brute_3edge_cuts(g.vertices, as_edges(g)).items()
+                    if min(len(xs) for xs in sides) >= 2}
+        assert listed == expected, name
+        with_cuts += bool(listed)
+    assert 0 < with_cuts < len(graphs)
+
+
+def test_bridges_are_the_edges_whose_deletion_splits_a_component():
+    graphs = seeded_multigraphs(150, 5)
+    for g in graphs:
+        parts = len(g.connected_components())
+        expected = tuple(e for e in g.edge_ids if len(g.delete_edges([e]).connected_components()) > parts)
+        assert g.bridges() == expected, g
+    assert sum(bool(g.bridges()) for g in graphs) >= 30
+
+
+def test_3_edge_connected_matches_edge_connectivity():
+    graphs = seeded_multigraphs(300, 7)
+    expected = [g.num_vertices >= 2 and g.edge_connectivity() >= 3 for g in graphs]
+    assert [g.is_3_edge_connected() for g in graphs] == expected
+    assert sum(expected) >= 30 and len(expected) - sum(expected) >= 30
+    assert any(g.num_vertices == 1 for g in graphs)
+    assert any(g.num_vertices >= 2 and not g.is_connected() for g in graphs)
+    assert any(g.is_loop(e) for g in graphs for e in g.edge_ids)
+    assert any(len(set(map(frozenset, pairs))) < len(pairs)
+               for pairs in ([g.ends(e) for e in g.edge_ids if not g.is_loop(e)] for g in graphs))
+
+
+def test_3_edge_connectivity_on_small_cases():
+    assert not Multigraph.from_pairs([(0, 0)]).is_3_edge_connected()
+    assert not Multigraph.from_pairs([(0, 1), (0, 1)]).is_3_edge_connected()
+    assert Multigraph.from_pairs([(0, 1), (0, 1), (0, 1)]).is_3_edge_connected()
+    assert not Multigraph.from_pairs([(0, 1)] * 3 + [(2, 3)] * 3).is_3_edge_connected()
+    assert named_graph("petersen").is_3_edge_connected()
+
+
+@pytest.mark.parametrize("name", ["moebius_kantor", "gp32_3", "prism3"])
+def test_3cut_tests_run_no_max_flow(monkeypatch, name):
+    g = Multigraph.from_pairs(generalized_petersen_pairs(32, 3)) if name == "gp32_3" else named_graph(name)
+    calls = []
+    max_flow = _Network.max_flow
+
+    def counted_flow(self, *args):
+        calls.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
+    _require_3ec(g)
+    assert g.is_3_edge_connected()
+    assert (g.find_nontrivial_3cut() is None) == g.is_essentially_4ec() == (name != "prism3")
+    assert calls == []
 
 
 # -- flow-equivalent tree ----------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from orientcover import pipelines
+from orientcover import packings, pipelines
 from orientcover.corpus import named_graph
 from orientcover.errors import NotThreeEdgeColorableError, PreconditionError, SearchExhaustedError
 from orientcover.exact import deletability_decide, verify_certificate
@@ -306,7 +306,7 @@ def test_pipelines_are_deterministic():
 def test_pipeline_checks_its_input_once(monkeypatch, pipeline):
     # moebius_kantor is gp(8,3): cubic, 3-edge-colorable, essentially 4-edge-connected
     g = named_graph("moebius_kantor")
-    calls = {"edge_connectivity": 0, "is_essentially_4ec": 0}
+    calls = {"is_3_edge_connected": 0, "is_essentially_4ec": 0, "edge_connectivity": 0}
     for method in calls:
         original = getattr(Multigraph, method)
 
@@ -317,6 +317,22 @@ def test_pipeline_checks_its_input_once(monkeypatch, pipeline):
 
         monkeypatch.setattr(Multigraph, method, counted)
     pipeline(g)
-    # certify_esse4 checks through is_essentially_4ec, which runs edge_connectivity once
+    # certify_esse4 checks through is_essentially_4ec, which runs is_3_edge_connected once
     expected_esse4 = 1 if pipeline is certify_esse4 else 0
-    assert calls == {"edge_connectivity": 1, "is_essentially_4ec": expected_esse4}
+    assert calls == {"is_3_edge_connected": 1, "is_essentially_4ec": expected_esse4, "edge_connectivity": 0}
+
+
+def test_upper7_does_each_distinct_packing_once(monkeypatch):
+    # the seven packings of gp(8,3) hold only 4 distinct ones
+    g = named_graph("moebius_kantor")
+    calls = {"_special_set": [], "_orient_special_set_deletable": []}
+    for module, name in ((packings, "_special_set"), (pipelines, "_orient_special_set_deletable")):
+        def counted(graph, p, *rest, original=getattr(module, name), name=name):
+            calls[name].append(p)
+            return original(graph, p, *rest)
+
+        monkeypatch.setattr(module, name, counted)
+    rep = certify_upper7(g)
+    assert len(rep.certificate.orientations) == 7
+    for name, packs in calls.items():
+        assert len(packs) == len(set(packs)) == 4, name
