@@ -425,7 +425,7 @@ def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, i
 
 def frank_lower_bound(g: Multigraph) -> int:
     """2 when a 3-edge-cut exists, else 1; input must be 3-edge-connected."""
-    lam = g.edge_connectivity()
+    lam = g._lambda_upto4()
     if lam < 3:
         raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
     return 2 if lam == 3 else 1
@@ -449,7 +449,7 @@ def frank_number_exact(
     the certificate; it stops at the first cover of 3 sets.  The edge limit
     bounds every search.
     """
-    lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
+    lam = g._lambda_upto4() if g.num_vertices >= 2 else 0
     if lam < 3:
         raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
     kern = _Kernel(g)

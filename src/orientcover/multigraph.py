@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import UnknownEdgeError, UnknownVertexError
 
@@ -96,10 +96,7 @@ class Multigraph:
 
     def degree(self, v: int) -> int:
         """Number of edge ends at v; a loop counts twice."""
-        d = 0
-        for e in self.incident_edges(v):
-            d += 2 if self.is_loop(e) else 1
-        return d
+        return sum(2 if self.is_loop(e) else 1 for e in self.incident_edges(v))
 
     def edge_multiset(self) -> Tuple[Tuple[int, int, int], ...]:
         return tuple((e, *self._edges[e]) for e in self._edges)
@@ -166,11 +163,7 @@ class Multigraph:
             u, v = self._edges[e]
             ru, rv = find(u), find(v)
             if ru != rv:
-                # keep the smaller id as the class representative
-                if ru < rv:
-                    parent[rv] = ru
-                else:
-                    parent[ru] = rv
+                parent[max(ru, rv)] = min(ru, rv)  # the smaller id represents the class
         vertex_map = {v: find(v) for v in self._vertices}
         qvertices = set(vertex_map.values())
         qedges: Dict[int, Tuple[int, int]] = {}
@@ -181,10 +174,7 @@ class Multigraph:
                 continue
             qu, qv = vertex_map[u], vertex_map[v]
             qedges[e] = (qu, qv)
-            if qu == qv and u != v:
-                status[e] = BECAME_LOOP
-            else:
-                status[e] = KEPT
+            status[e] = BECAME_LOOP if qu == qv and u != v else KEPT
         return ContractionResult(Multigraph(qvertices, qedges), vertex_map, status)
 
     # -- cuts and connectivity ----------------------------------------------
@@ -194,9 +184,7 @@ class Multigraph:
         xset = set(xs)
         if not xset or not xset < self._vertices:
             raise UnknownVertexError("edge_cut needs a nonempty proper vertex subset")
-        return frozenset(
-            e for e, (u, v) in self._edges.items() if (u in xset) != (v in xset)
-        )
+        return frozenset(e for e, (u, v) in self._edges.items() if (u in xset) != (v in xset))
 
     def connected_components(self) -> Tuple[FrozenSet[int], ...]:
         """Vertex partition by connectivity; loops are irrelevant."""
@@ -220,9 +208,7 @@ class Multigraph:
         return tuple(comps)
 
     def is_connected(self) -> bool:
-        if self.num_vertices <= 1:
-            return True
-        return len(self.connected_components()) == 1
+        return len(self.connected_components()) <= 1
 
     def _links(self) -> Dict[int, List[Tuple[int, int]]]:
         """(edge id, other end) for each non-loop edge at each vertex, by edge id."""
@@ -253,13 +239,13 @@ class Multigraph:
     def edge_connectivity(self) -> int:
         """Size of a minimum edge cut; 0 for disconnected graphs.
 
+        Values up to 3 are those of _lambda_upto4, with no flow.  Above 3,
         n - 1 flows from the smallest vertex on one network, each stopped at
         the smallest value found so far.
         """
-        if self.num_vertices < 2:
-            raise UnknownVertexError("edge connectivity needs at least 2 vertices")
-        if not self.is_connected():
-            return 0
+        low = self._lambda_upto4()
+        if low < 4:
+            return low
         _, net = self._network()
         best = None
         for v in range(1, self.num_vertices):
@@ -290,38 +276,6 @@ class Multigraph:
                 if side[v] and parent[v] == t:
                     parent[v] = s
         return lam
-
-    def _edge_lambdas(self, edges: Sequence[int]) -> List[int]:
-        """Local edge connectivity between the ends of each (non-loop) edge.
-
-        Read off the flow-equivalent tree of _flow_tree as the minimum weight
-        on the tree path between the two ends: n - 1 flows in all instead of
-        one per edge.
-        """
-        tree: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self._vertices}
-        for (a, b), w in self._flow_tree().items():
-            tree[a].append((b, w))
-            tree[b].append((a, w))
-        bottleneck: Dict[int, Dict[int, int]] = {}
-
-        def from_root(root: int) -> Dict[int, int]:
-            low = {root: float("inf")}
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y, w in tree[x]:
-                    if y not in low:
-                        low[y] = min(low[x], w)
-                        stack.append(y)
-            return low
-
-        out = []
-        for e in edges:
-            u, v = self.ends(e)
-            if u not in bottleneck:
-                bottleneck[u] = from_root(u)
-            out.append(bottleneck[u][v])
-        return out
 
     def _signatures(self) -> Tuple[Dict[int, int], int]:
         """(signature of each non-loop edge, number of components), over a spanning forest.
@@ -365,17 +319,44 @@ class Multigraph:
                 below[self.other_end(e, x)] ^= below[x]
         return sig, components
 
-    def is_3_edge_connected(self) -> bool:
-        """At least 2 vertices and no edge cut of fewer than 3 edges.
+    def _low_lambda(self) -> Tuple[Dict[int, int], int]:
+        """(signature of each non-loop edge, min(lambda, 3)) from one signature pass.
 
-        One signature pass and no flow: the graph is connected, no edge is a
-        cut on its own (signature 0) and no two edges form one (equal
-        signatures).
+        0 when the graph is disconnected, 1 when some edge is a cut on its own
+        (signature 0), 2 when two edges form one (equal signatures), else 3.
         """
-        if self.num_vertices < 2:
-            return False
         sig, components = self._signatures()
-        return components == 1 and 0 not in sig.values() and len(set(sig.values())) == len(sig)
+        values = set(sig.values())
+        return sig, 0 if components > 1 else 1 if 0 in values else 2 if len(values) < len(sig) else 3
+
+    def is_3_edge_connected(self) -> bool:
+        """At least 2 vertices and no edge cut of fewer than 3 edges; no flow is run."""
+        return self.num_vertices >= 2 and self._low_lambda()[1] == 3
+
+    def _lambda_upto4(self) -> int:
+        """min(lambda, 4) with no flow: _low_lambda, then 3 when some edge is on a 3-edge cut."""
+        if self.num_vertices < 2:
+            raise UnknownVertexError("edge connectivity needs at least 2 vertices")
+        sig, low = self._low_lambda()
+        return low if low < 3 else 3 if next(self._3cut_edges(sig), None) is not None else 4
+
+    def _3cut_edges(self, sig: Dict[int, int]) -> Iterator[int]:
+        """Each non-loop edge on a 3-edge cut once, from the signatures of a 3-edge-connected graph.
+
+        The stars of vertices with three non-loop edges come first, with no
+        search.  Then each other edge e is on one when some sig(e) ^ sig(f)
+        is the signature of an edge h: the signatures are nonzero and
+        distinct, so e, f and h are three edges whose signatures XOR to 0.
+        """
+        found: Set[int] = set()
+        by_sig = {s: e for e, s in sig.items()}
+        stars = ([e for e, _ in out] for out in self._links().values() if len(out) == 3)
+        scans = (next(([e, f, by_sig[s ^ t]] for f, t in sig.items() if s ^ t in by_sig), ())
+                 for e, s in sig.items() if e not in found)
+        for k in (k for cuts in (stars, scans) for cut in cuts for k in cut):
+            if k not in found:
+                found.add(k)
+                yield k
 
     def _3cuts(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """(side, cut) for each edge cut of 3 edges with both sides >= 2 vertices.

@@ -482,20 +482,26 @@ def pairings(odd: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
 def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int, int], int]] = None) -> bool:
     """Check the floor(lambda/2) pairwise directed-connectivity condition.
 
-    lam lists the pairs to check with their edge connectivity; by default the
-    flow-equivalent tree of Multigraph._flow_tree.  Its pairs suffice: directed
+    lam is a flow-equivalent tree of g with its edge connectivities, by
+    default that of Multigraph._flow_tree.  Its pairs suffice: directed
     connectivity obeys lambda_D(u, w) >= min(lambda_D(u, v), lambda_D(v, w)),
     and floor(min / 2) is the minimum of the halves, so the condition on the
-    tree edges of a path gives it for the path's ends.  All flows run on one
-    directed network of d, each stopped once it reaches its requirement.
+    tree edges of a path gives it for the path's ends.  When every weight is
+    at least 2, every pair needs a path each way: one strength test answers
+    the pairs that need 1, and flows only those that need more.  All flows
+    run on one directed network of d, each stopped once it reaches its
+    requirement.
     """
     if lam is None:
         lam = g._flow_tree()
+    low = 2 if lam and min(lam.values()) >= 2 else 1  # the least requirement checked by flows
+    if low == 2 and not is_strongly_connected(d):
+        return False
     index, net = _arc_network(d)
     # high requirements first: they fail fastest
     for (u, v), l in sorted(lam.items(), key=lambda kv: -kv[1]):
         need = l // 2
-        if need == 0:
+        if need < low:
             continue
         iu, iv = index[u], index[v]
         if net.max_flow((iu,), (iv,), need)[0] < need:

@@ -301,7 +301,7 @@ def _check_gadget(inst: GadgetInstance) -> None:
     for v in g.vertices:
         if g.degree(v) != 3:
             raise InternalVerificationError(f"gadget vertex {v} has degree {g.degree(v)}")
-    if g.edge_connectivity() != 3:
+    if g._lambda_upto4() != 3:
         raise InternalVerificationError("gadget is not 3-edge-connected")
 
 

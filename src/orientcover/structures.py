@@ -177,30 +177,43 @@ def is_matching(g: Multigraph, edge_ids: Iterable[int]) -> bool:
 
 
 def _matching_search(g: Multigraph) -> Iterator[FrozenSet[int]]:
-    verts = list(g.vertices)
-    matched: Set[int] = set()
+    """Every perfect matching of g once: the first unmatched vertex, by id,
+    takes each of its non-loop edges to an unmatched vertex in edge id order.
+
+    A branch stops as soon as some unmatched vertex has no unmatched
+    neighbour left (free[i] counts its edges to unmatched vertices); such a
+    branch holds no matching, so the order is that of the search without it.
+    """
+    verts, by_vertex = g.vertices, g._links()
+    index = {v: i for i, v in enumerate(verts)}
+    links = [[(e, index[w]) for e, w in by_vertex[v]] for v in verts]  # (edge id, other index)
+    free = [len(out) for out in links]
+    matched = [False] * len(verts)
     chosen: List[int] = []
 
-    def rec(idx: int) -> Iterator[FrozenSet[int]]:
-        while idx < len(verts) and verts[idx] in matched:
-            idx += 1
-        if idx == len(verts):
+    def rec(i: int) -> Iterator[FrozenSet[int]]:
+        while i < len(verts) and matched[i]:
+            i += 1
+        if i == len(verts):
             yield frozenset(chosen)
             return
-        v = verts[idx]
-        for e in g.incident_edges(v):
-            w = g.other_end(e, v)
-            if w == v or w in matched:
+        for e, j in links[i]:
+            if matched[j]:
                 continue
-            matched.add(v)
-            matched.add(w)
-            chosen.append(e)
-            yield from rec(idx + 1)
-            chosen.pop()
-            matched.discard(v)
-            matched.discard(w)
+            matched[i] = matched[j] = True
+            stuck = False
+            for _, k in links[i] + links[j]:
+                free[k] -= 1
+                stuck = stuck or (free[k] == 0 and not matched[k])
+            if not stuck:
+                chosen.append(e)
+                yield from rec(i + 1)
+                chosen.pop()
+            for _, k in links[i] + links[j]:
+                free[k] += 1
+            matched[i] = matched[j] = False
 
-    return rec(0)
+    return rec(0) if 0 not in free else iter(())
 
 
 def perfect_matching(g: Multigraph) -> Optional[FrozenSet[int]]:
@@ -288,7 +301,7 @@ def berge_fulkerson_cover(g: Multigraph, node_budget: int = 200_000) -> CoverSea
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
-    if g.num_vertices >= 2 and g.edge_connectivity() < 2:
+    if g.num_vertices >= 2 and g._lambda_upto4() < 2:
         raise PreconditionError("double-cover search needs a 2-edge-connected graph")
     return _berge_fulkerson_cover(g, node_budget)
 
@@ -513,7 +526,7 @@ def partition_into_three_tjoins(
     third part inherits the right parity, and loops land there as well.
     """
     if g.num_vertices >= 2:
-        if g.edge_connectivity() < 4:
+        if g._lambda_upto4() < 4:
             raise PreconditionError("T-join partition needs a 4-edge-connected graph")
     t = frozenset(v for v in g.vertices if g.degree(v) % 2)
     trees = two_edge_disjoint_spanning_trees(g)
@@ -541,8 +554,8 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
     """Non-packing edges lying on no 3-edge-cut of the packing's quotient.
 
     An edge whose ends fall into one contracted class is a quotient loop and
-    lies on no cut at all; otherwise the test is local connectivity >= 4
-    between the images of its ends.  Checks that g is 3-edge-connected
+    lies on no cut at all; every other edge is tested on the signatures of
+    the quotient, with no flow.  Checks that g is 3-edge-connected
     (PreconditionError otherwise); the pipelines and seven_cycle_packings
     check once at entry and compute special sets directly.
     """
@@ -552,12 +565,9 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
 
 
 def _special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
-    """special_set on a graph already known to be 3-edge-connected."""
+    """special_set on a 3-edge-connected graph, whose quotients stay 3-edge-connected."""
     q = g.contract(p.edge_ids).graph
-    cut_edges = [e for e in q.edge_ids if not q.is_loop(e)]
-    out = [e for e in q.edge_ids if q.is_loop(e)]
-    out += [e for e, lam in zip(cut_edges, q._edge_lambdas(cut_edges)) if lam >= 4]
-    return frozenset(out)
+    return frozenset(q.edge_ids).difference(q._3cut_edges(q._signatures()[0]))
 
 
 # -- cubic extensions --------------------------------------------------------------------

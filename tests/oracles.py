@@ -137,6 +137,43 @@ def flower_snark_pairs(k: int) -> List[Tuple[int, int]]:
     return pairs
 
 
+def ref_perfect_matchings(vertices: Sequence[int], edges: Sequence[Edge]) -> List[FrozenSet[int]]:
+    """Every perfect matching by plain backtracking, with no dead-end cut.
+
+    The first unmatched vertex, by id, takes each of its non-loop edges to an
+    unmatched vertex in edge id order: the order of
+    structures._matching_search.
+    """
+    verts = sorted(vertices)
+    incident: Dict[int, List[Tuple[int, int]]] = {v: [] for v in verts}
+    for e, u, v in sorted(edges):
+        if u != v:
+            incident[u].append((e, v))
+            incident[v].append((e, u))
+    matched: Set[int] = set()
+    chosen: List[int] = []
+    found: List[FrozenSet[int]] = []
+
+    def rec(idx: int) -> None:
+        while idx < len(verts) and verts[idx] in matched:
+            idx += 1
+        if idx == len(verts):
+            found.append(frozenset(chosen))
+            return
+        v = verts[idx]
+        for e, w in incident[v]:
+            if w in matched:
+                continue
+            matched.update((v, w))
+            chosen.append(e)
+            rec(idx + 1)
+            chosen.pop()
+            matched.difference_update((v, w))
+
+    rec(0)
+    return found
+
+
 def backtrack_3_edge_coloring(vertices: Sequence[int], edges: Sequence[Edge]) -> Optional[Dict[int, int]]:
     """A proper 3-edge-coloring {edge id: 1, 2 or 3} of a cubic graph, or None.
 

@@ -24,7 +24,9 @@ from orientcover.orientation import (
     is_deletable_set,
     is_k_arc_connected,
 )
+from orientcover.packings import seven_cycle_packings
 from orientcover.reduction import PAPER_EXAMPLE, build_gadget, parse_formula
+from orientcover.structures import _special_set
 
 from oracles import (
     brute_deletability,
@@ -507,6 +509,29 @@ def test_decide_runs_no_max_flow(monkeypatch):
     for g, s in cases:
         assert deletability_decide(g, s).nodes > 0
     assert calls == []
+
+
+def test_lambda_thresholds_run_no_max_flow(monkeypatch):
+    # every lambda question up to 3 comes from the signature pass; only values above take flows
+    graphs = {name: named_graph(name) for name in ("k4", "prism3", "petersen", "hub_triangles", "k5")}
+    packed = [(g, p) for name in ("prism3", "petersen", "cube")
+              for g in [named_graph(name)] for p in seven_cycle_packings(g).packings]
+    calls = []
+    max_flow = _Network.max_flow
+
+    def counted_flow(self, *args):
+        calls.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
+    build_gadget(parse_formula(PAPER_EXAMPLE))
+    for name, g in graphs.items():
+        assert frank_number_exact(g)[0] >= frank_lower_bound(g) == (1 if name == "k5" else 2)
+        assert name == "k5" or g.edge_connectivity() == 3
+    for g, p in packed:
+        _special_set(g, p)
+    assert calls == []
+    assert graphs["k5"].edge_connectivity() == 4 and calls
 
 
 def test_decide_budget_indeterminate_distinct_from_no():

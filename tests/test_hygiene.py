@@ -3,9 +3,10 @@
 No module imports a name it never uses, none calls itertools.product (the
 one exhaustive orientation search is exact._search, and the 2^m reference
 loops live in tests/oracles.py), every private function or method is
-reached from the package outside its own body, and no expression tests
-edge_connectivity() against the threshold 3 (every such test goes through
-the flow-free Multigraph.is_3_edge_connected).  Standard library only (ast),
+reached from the package outside its own body, and no expression compares
+edge_connectivity() with a constant in a way that min(lambda, 4) decides
+(every such question goes through the flow-free Multigraph._lambda_upto4 or
+is_3_edge_connected).  Standard library only (ast),
 since no linter is part of the toolchain.  The package's __init__.py is
 exempt from the import check: its imports are the public re-exports.
 """
@@ -126,17 +127,20 @@ def test_checker_flags_a_dead_private_function():
         ("a.py", 27, "leftover")]
 
 
-# The ordered comparisons that state "lambda >= 3" or its negation, keyed by
-# the constant on the right of edge_connectivity() (or on the left, mirrored).
-_THRESHOLD_3 = {(ast.Lt, 3), (ast.GtE, 3), (ast.Gt, 2), (ast.LtE, 2)}
-_MIRROR = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE}
+# The largest constant, per comparison, whose outcome min(lambda, 4) decides:
+# lambda < c and lambda >= c up to c = 4, the others up to c = 3.  Keyed by the
+# operator with edge_connectivity() on the left (a constant on the left is mirrored).
+_SMALL_LAMBDA = {ast.Lt: 4, ast.GtE: 4, ast.LtE: 3, ast.Gt: 3, ast.Eq: 3, ast.NotEq: 3}
+_MIRROR = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE, ast.Eq: ast.Eq,
+           ast.NotEq: ast.NotEq}
 
 
-def threshold_3_tests(source: str):
-    """Lines comparing a call of .edge_connectivity() with 3 as a lambda >= 3 threshold.
+def small_lambda_tests(source: str):
+    """Lines comparing a call of .edge_connectivity() with a constant that
+    min(lambda, 4) already answers, such as < 2, != 3 or >= 4.
 
-    Tests of the exact value, such as == 3 or != 3, are left alone: they
-    need the number.
+    Comparisons that need the exact value above 3, such as == 4 or > 4, and
+    uses of the value itself are left alone.
     """
     def is_lambda(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -149,24 +153,27 @@ def threshold_3_tests(source: str):
         operands = [node.left] + node.comparators
         for op, left, right in zip(node.ops, operands, operands[1:]):
             if is_lambda(left) and isinstance(right, ast.Constant):
-                key = (type(op), right.value)
+                op, value = type(op), right.value
             elif is_lambda(right) and isinstance(left, ast.Constant) and type(op) in _MIRROR:
-                key = (_MIRROR[type(op)], left.value)
+                op, value = _MIRROR[type(op)], left.value
             else:
                 continue
-            if key in _THRESHOLD_3:
+            if isinstance(value, int) and value <= _SMALL_LAMBDA.get(op, -1):
                 lines.append(node.lineno)
-    return sorted(lines)
+    return sorted(set(lines))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_edge_connectivity_threshold_3(path):
-    assert threshold_3_tests(path.read_text()) == []
+    assert small_lambda_tests(path.read_text()) == []
 
 
 def test_checker_flags_an_edge_connectivity_threshold_3():
     source = ("a = g.edge_connectivity() < 3\nb = g.edge_connectivity() >= 3\n"
               "c = 3 <= g.edge_connectivity()\nd = n >= 2 and g.edge_connectivity() > 2\n"
               "e = g.edge_connectivity() != 3\nf = g.edge_connectivity() < 4\n"
-              "h = g.edge_connectivity() < 2\ni = lam < 3\n")
-    assert threshold_3_tests(source) == [1, 2, 3, 4]
+              "h = g.edge_connectivity() < 2\ni = lam < 3\nj = g.edge_connectivity() == 4\n"
+              "k = 4 <= g.edge_connectivity()\nl = g.edge_connectivity() > 4\n"
+              "m = g.edge_connectivity() <= 3\nn = 1 == g.edge_connectivity()\n"
+              "o = {'lambda': g.edge_connectivity()}\np = g.edge_connectivity() >= 5\n")
+    assert small_lambda_tests(source) == [1, 2, 3, 4, 5, 6, 7, 10, 12, 13]

@@ -18,6 +18,7 @@ from oracles import (
     brute_min_cut,
     generalized_petersen_pairs,
     random_cubic_3ec_pairs,
+    ref_edge_connectivity,
 )
 
 
@@ -256,6 +257,37 @@ def test_bridges_are_the_edges_whose_deletion_splits_a_component():
     assert sum(bool(g.bridges()) for g in graphs) >= 30
 
 
+def complete_graph(n):
+    return Multigraph.from_pairs(list(itertools.combinations(range(n), 2)))
+
+
+def test_lambda_upto4_matches_the_reference_kernel():
+    rng = random.Random(4004)
+    graphs = [g for g in seeded_multigraphs(300, 13) if g.num_vertices >= 2]
+    for _ in range(60):  # denser: lambda 3 and 4 with parallel edges and loops
+        n = rng.randint(2, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3 * n, 6 * n))]
+        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
+    graphs += [complete_graph(n) for n in (5, 6, 7, 8)] + [g for _, g in small_3ec_graphs()]
+    values = []
+    for g in graphs:
+        lam = ref_edge_connectivity(g.vertices, as_edges(g))
+        assert g._lambda_upto4() == min(lam, 4), g
+        assert g.edge_connectivity() == lam, g
+        values.append(min(lam, 4))
+    assert len(graphs) >= 300 and min(values.count(k) for k in range(5)) >= 10
+    assert sum(any(g.is_loop(e) for e in g.edge_ids) for g in graphs) >= 50
+    assert sum(len(set(map(g.ends, g.edge_ids))) < g.num_edges for g in graphs) >= 50
+
+
+def test_lambda_upto4_needs_two_vertices():
+    for g in (Multigraph([], {}), Multigraph.from_pairs([(0, 0)])):
+        with pytest.raises(UnknownVertexError):
+            g._lambda_upto4()
+        with pytest.raises(UnknownVertexError):
+            g.edge_connectivity()
+
+
 def test_3_edge_connected_matches_edge_connectivity():
     graphs = seeded_multigraphs(300, 7)
     expected = [g.num_vertices >= 2 and g.edge_connectivity() >= 3 for g in graphs]
@@ -337,23 +369,6 @@ def test_flow_tree_on_small_multigraphs(g):
     lam = g._flow_tree()
     for u, v in itertools.combinations(g.vertices, 2):
         assert tree_path_min(lam, u, v) == g.local_edge_connectivity(u, v)
-
-
-def test_edge_lambdas_match_local_edge_connectivity():
-    rng = random.Random(811)
-    graphs = [named_graph(name) for name in corpus_names()]
-    for _ in range(30):
-        n = rng.randint(2, 7)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 14))]
-        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
-    loops = parallels = 0
-    for g in graphs:
-        edges = [e for e in g.edge_ids if not g.is_loop(e)]
-        expected = [g.local_edge_connectivity(*g.ends(e)) for e in edges]
-        assert g._edge_lambdas(edges) == expected, g
-        loops += any(g.is_loop(e) for e in g.edge_ids)
-        parallels += len({g.ends(e) for e in edges}) < len(edges)
-    assert loops >= 5 and parallels >= 5
 
 
 # -- contraction -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from orientcover.errors import (
     NotStronglyConnectedError,
     PreconditionError,
 )
-from orientcover.multigraph import Multigraph
+from orientcover.multigraph import Multigraph, _Network
 from orientcover.orientation import (
     Orientation,
     contract_orientation,
@@ -351,6 +351,49 @@ def test_tree_pair_balance_check_matches_all_pairs():
             assert verdict == well_balanced_all_pairs(g, d), g
             verdicts.append(verdict)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def test_balance_check_with_bridges_or_digons_matches_all_pairs():
+    # some tree weight below 2: the pairs are checked by flows alone
+    rng = random.Random(31)
+    graphs = [FALLBACK_GRAPHS["block_chain"](), FALLBACK_GRAPHS["k5_bridge_k5"]()]
+    while len(graphs) < 30:
+        n = rng.randint(3, 7)
+        g = Multigraph.from_pairs([(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)])
+        if g.is_connected() and min(g._flow_tree().values()) < 2:
+            graphs.append(g)
+    verdicts = []
+    for g in graphs:
+        candidates = [well_balanced_orientation(g)]
+        candidates += [orientation_by_bits(g, [rng.randrange(2) for _ in g.edge_ids]) for _ in range(4)]
+        for d in candidates:
+            verdict = is_well_balanced(g, d)
+            assert verdict == well_balanced_all_pairs(g, d), g
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 20
+
+
+def test_balance_check_below_lambda_4_is_one_strength_test(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for g in random_cubic_graphs() + [named_graph("petersen"), named_graph("wheel5")]:
+        lam = g._flow_tree()
+        cases += [(g, lam, well_balanced_orientation(g), True)]
+        for _ in range(4):
+            d = orientation_by_bits(g, [rng.randrange(2) for _ in g.edge_ids])
+            cases.append((g, lam, d, is_strongly_connected(d)))
+    calls = []
+    max_flow = _Network.max_flow
+
+    def counted_flow(self, *args):
+        calls.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
+    for g, lam, d, expected in cases:
+        assert is_well_balanced(g, d, lam) == expected
+    verdicts = [expected for *_, expected in cases]
+    assert calls == [] and True in verdicts and False in verdicts
 
 
 # -- well-balanced fallbacks past the pairing search ---------------------------------

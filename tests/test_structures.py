@@ -32,9 +32,17 @@ from orientcover.structures import (
     special_set,
     t_join,
     two_edge_disjoint_spanning_trees,
+    _matching_search,
 )
 
-from oracles import backtrack_3_edge_coloring, brute_min_cut, flower_snark_pairs
+from orientcover.packings import seven_cycle_packings
+from oracles import (
+    backtrack_3_edge_coloring,
+    brute_min_cut,
+    flower_snark_pairs,
+    generalized_petersen_pairs,
+    ref_perfect_matchings,
+)
 from test_exact import random_cubic_3ec
 
 
@@ -60,6 +68,31 @@ def test_perfect_matching_odd_cycle_none():
 
 def test_petersen_has_exactly_six_perfect_matchings():
     assert len(enumerate_perfect_matchings(named_graph("petersen"))) == 6
+
+
+def as_edges(g):
+    return [(e, *g.ends(e)) for e in g.edge_ids]
+
+
+def test_matching_search_matches_the_plain_search():
+    # the dead-end cut drops only branches without a matching: same lists, same order
+    graphs = [Multigraph.from_pairs(generalized_petersen_pairs(n, k))
+              for n, k in [(5, 2), (7, 2), (8, 3), (10, 3), (12, 5), (16, 3), (20, 3)]]
+    graphs += [Multigraph.from_pairs(flower_snark_pairs(k)) for k in (5, 6, 7)]
+    rng = random.Random(1601)
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
+    loops = parallels = matched = 0
+    for g in graphs:
+        expected = ref_perfect_matchings(g.vertices, as_edges(g))
+        assert list(_matching_search(g)) == expected, g
+        nonloop = [g.ends(e) for e in g.edge_ids if not g.is_loop(e)]
+        loops += len(nonloop) < g.num_edges and bool(expected)
+        parallels += len(set(nonloop)) < len(nonloop) and bool(expected)
+        matched += bool(expected)
+    assert loops >= 5 and parallels >= 5 and matched >= 30
 
 
 def assert_three_perfect_matchings(g, classes):
@@ -286,6 +319,44 @@ def test_special_set_packing_covering_everything():
     g = Multigraph.from_pairs([(0, 0)])
     p = cycles_from_edge_set(g, [0])
     assert special_set(g, p) == frozenset()
+
+
+def flow_special_set(g, p):
+    """The definition: the quotient's loops and its edges whose ends have lambda >= 4."""
+    q = g.contract(p.edge_ids).graph
+    return frozenset(e for e in q.edge_ids if q.is_loop(e) or q.local_edge_connectivity(*q.ends(e)) >= 4)
+
+
+def short_cycle_packings(g):
+    """The empty packing and every packing of at most 4 edges."""
+    packings = [CyclePacking(())]
+    for k in (2, 3, 4):
+        for edges in itertools.combinations(g.edge_ids, k):
+            try:
+                packings.append(cycles_from_edge_set(g, edges))
+            except PreconditionError:
+                pass
+    return packings
+
+
+def test_special_set_matches_local_edge_connectivity():
+    rng = random.Random(3301)
+    cases = []
+    for name in corpus_names():
+        g = named_graph(name)
+        if g.is_3_edge_connected():
+            cubic = all(g.degree(v) == 3 for v in g.vertices)
+            packings = seven_cycle_packings(g).packings if cubic else short_cycle_packings(g)
+            cases += [(g, p) for p in packings]
+    for n in (8, 10, 12, 14):
+        g = random_cubic_3ec(rng, n)
+        cases += [(g, p) for p in seven_cycle_packings(g).packings]
+    members = 0
+    for g, p in cases:
+        s = special_set(g, p)
+        assert s == flow_special_set(g, p), (g, p)
+        members += len(s)
+    assert len(cases) >= 100 and members >= 200
 
 
 def test_special_set_rejects_low_connectivity():
