@@ -21,9 +21,11 @@ Frank number.  With edge connectivity 4 or more, one decision over every
 edge gives f = 1.  With edge connectivity 3, the Frank number scans the
 strong orientations for their distinct deletable-arc sets and decides, for
 each new set, whether one other orientation makes the rest deletable; the
-first yes gives f = 2.  A set that a vertex star or an earlier refuted
-superset already rules out gets no search.  Only a scan that runs to the
-end (f ≥ 3) needs the set cover, which stops at the first cover of 3 sets.
+first yes gives f = 2.  A set that a vertex star or a refuted superset
+rules out gets no search, a scan leaf that can only give such sets gets no
+kernel call, and refutations are closed under the automorphisms.  With no
+yes, f = 3 comes from completing a pair of scanned sets; only when no pair
+completes does a full scan feed the set cover (see `frank_number_exact`).
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class _Kernel:
 
 def _search(
     kern: _Kernel, sbit: int, budget: Optional[int], candidates: Optional[Sequence[int]],
-    leaf: Callable[[int, int], bool],
+    leaf: Callable[[int, int], bool], skip: Optional[Callable[[int], bool]] = None,
 ) -> Tuple[Status, int, int]:
     """Depth-first search over edge directions, taken in kernel index order.
 
@@ -182,11 +184,13 @@ def _search(
     propagation.
 
     Each leaf costs one `_deletable_mask` call over `candidates`, kernel
-    edge indices or None for all.  A strongly connected leaf is handed to
-    `leaf(mask, dmask)`, dmask being the bitmask of its deletable
-    candidates, and the search stops at the first leaf it accepts.  A node
-    is one call of the recursive step: it branches on the next unforced
-    edge, or evaluates a leaf; forced edges cost no node.  Returns (status, accepted mask or 0,
+    edge indices or None for all, unless `skip(bound)` drops the leaf first;
+    bound, the arcs that are neither their tail's only out-arc nor their
+    head's only in-arc, holds every deletable arc.  A strongly connected leaf
+    is handed to `leaf(mask, dmask)`, dmask being the bitmask of its
+    deletable candidates, and the search stops at the first leaf it accepts.
+    A node is one call of the recursive step: it branches on the next
+    unforced edge, or evaluates a leaf; forced edges cost no node.  Returns (status, accepted mask or 0,
     nodes visited); a search that needs more than `budget` nodes ends
     INDETERMINATE.
     """
@@ -254,7 +258,11 @@ def _search(
             mask |= direction[i] << i
             i += 1
         if i == m:
-            dmask = _deletable_mask(n, [ends[j][bit] for j, bit in enumerate(direction)], candidates)
+            arcs = [ends[j][bit] for j, bit in enumerate(direction)]
+            if skip is not None and skip(sum(1 << j for j, (t, h) in enumerate(arcs)
+                                             if out_count[t] > 1 and in_count[h] > 1)):
+                return False
+            dmask = _deletable_mask(n, arcs, candidates)
             if dmask is not None and leaf(mask, dmask):
                 found = mask
                 return True
@@ -309,13 +317,15 @@ def _decide(kern: _Kernel, sbit: int, budget: Optional[int]) -> Tuple[Status, in
 
 def _scan_deletable_profiles(
     kern: _Kernel, stop: Optional[Callable[[int, int], bool]] = None,
+    skip: Optional[Callable[[int], bool]] = None,
 ) -> Dict[int, int]:
     """All distinct deletable-arc masks with their smallest orientation mask.
 
     Edge 0 keeps its natural direction, as in every `_search`.
     Each new mask is handed to `stop(mask, orientation mask)`, with the
     orientation that first gave it, as soon as it is recorded; the scan ends
-    at the first one it accepts, with only the masks seen so far.
+    at the first one it accepts, with only the masks seen so far.  Leaves
+    that `skip` drops by their bound (see `_search`) are not scanned.
     """
     profiles: Dict[int, int] = {}
 
@@ -327,7 +337,7 @@ def _scan_deletable_profiles(
         profiles[dmask] = mask
         return stop is not None and stop(dmask, mask)
 
-    _search(kern, 0, None, None, record)
+    _search(kern, 0, None, None, record, skip)
     return profiles
 
 
@@ -393,31 +403,97 @@ def _min_cover(universe: int, sets_masks: List[int], floor: int = 0) -> List[int
     return [order[i] for i in best_sol]
 
 
-def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, int]]:
-    """A minimum cover of the edges by deletable sets, as (set, orientation) masks.
+def _inside(holders: List[int], mask: int, count: int) -> bool:
+    """Whether one of `count` recorded sets holds mask; holders[j] has bit k when set k holds edge j."""
+    common = (1 << count) - 1
+    while mask and common:
+        low = mask & -mask
+        common &= holders[low.bit_length() - 1]
+        mask ^= low
+    return common != 0
 
-    Dominated sets are dropped first, keeping the lexicographically least
-    orientation mask per set.  Called only after a completion scan in which
-    no set completed, so no cover has fewer than 3 sets: 3 is the floor of
-    `_min_cover`.
-    """
-    items = sorted(profiles.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
-    # holders[j] has bit k set when maximal[k] contains edge j, so a set is
-    # dominated exactly when the AND of its edges' holders is nonzero
+
+def _maximal_sets(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, int]]:
+    """The undominated (set, orientation) masks, largest sets first, ties by orientation."""
     maximal: List[Tuple[int, int]] = []
     holders = [0] * kern.m
-    for dmask, omask in items:
-        members = [j for j in range(kern.m) if (dmask >> j) & 1]
-        common = (1 << len(maximal)) - 1
-        for j in members:
-            common &= holders[j]
-        if common:
-            continue
-        for j in members:
-            holders[j] |= 1 << len(maximal)
-        maximal.append((dmask, omask))
+    for dmask, omask in sorted(profiles.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1])):
+        if not _inside(holders, dmask, len(maximal)):
+            holders = [h | ((dmask >> j) & 1) << len(maximal) for j, h in enumerate(holders)]
+            maximal.append((dmask, omask))
+    return maximal
+
+
+def _maximal_cover(kern: _Kernel, profiles: Dict[int, int]) -> List[Tuple[int, int]]:
+    """A minimum cover of the edges by the `_maximal_sets`, as (set, orientation) masks.
+
+    Called only after a completion scan in which no set completed, so no
+    cover has fewer than 3 sets: 3 is the floor of `_min_cover`.
+    """
+    maximal = _maximal_sets(kern, profiles)
     cover_idx = _min_cover((1 << kern.m) - 1, [dm for dm, _ in maximal], 3)
     return [maximal[i] for i in cover_idx]
+
+
+def _complete_pair(kern: _Kernel, profiles: Dict[int, int],
+                   hopeless: Callable[[int], bool]) -> Optional[List[Tuple[int, int]]]:
+    """The first pair of maximal sets P1, P2, in `_maximal_sets` order, with E − (P1 ∪ P2)
+    deletable, plus its witness, or None; only unions that `hopeless` keeps get a decision."""
+    maximal = _maximal_sets(kern, profiles)
+    for a, first in enumerate(maximal):
+        for second in maximal[a + 1:]:
+            rest = ((1 << kern.m) - 1) & ~(first[0] | second[0])
+            if not hopeless(first[0] | second[0]):
+                status, witness, _ = _decide(kern, rest, None)
+                if status is Status.FOUND:
+                    return [first, second, (rest, witness)]
+    return None
+
+
+def _automorphisms(kern: _Kernel) -> List[List[int]]:
+    """The graph's automorphisms, each as the image of every kernel edge index.
+
+    A backtracking search maps the vertices in BFS order from vertex 0, each
+    to an unused vertex with the same BFS layer sizes, adjacent to the images
+    of its mapped neighbours only, by as many edges.  The i-th parallel edge
+    between two vertices maps to the i-th between their images, by index.
+    """
+    n, pairs = kern.n, list(zip(kern.u, kern.v))
+    between: Dict[Tuple[int, int], List[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        between.setdefault((a, b), []).append(i)
+        between.setdefault((b, a), []).append(i)
+    nbrs = [sum(1 << b for b in range(n) if (a, b) in between) for a in range(n)]
+
+    def layers(root: int) -> List[int]:
+        out = [1 << root]
+        while out[-1]:
+            reach = 0
+            for x in range(n):
+                reach |= nbrs[x] if (out[-1] >> x) & 1 else 0
+            out.append(reach & ~sum(out))  # the layers are disjoint
+        return out[:-1]
+
+    sizes = [[bin(layer).count("1") for layer in layers(x)] for x in range(n)]
+    order = [x for layer in layers(0) for x in range(n) if (layer >> x) & 1]
+    back = [[z for z in order[:k] if (nbrs[x] >> z) & 1] for k, x in enumerate(order)]
+    rank = [between[a, b].index(i) for i, (a, b) in enumerate(pairs)]
+    image, found = [-1] * n, []
+
+    def extend(k: int, used: int) -> None:
+        if k == n:
+            found.append([between[image[a], image[b]][r] for (a, b), r in zip(pairs, rank)])
+            return
+        x, mapped = order[k], back[k]
+        fits = ~used & (nbrs[image[mapped[0]]] if mapped else -1)  # next to the BFS parent's image
+        for y in range(n):
+            if ((fits >> y) & 1 and sizes[y] == sizes[x] and bin(nbrs[y] & used).count("1") == len(mapped)
+                    and all(len(between[x, z]) == len(between.get((y, image[z]), ())) for z in mapped)):
+                image[x] = y
+                extend(k + 1, used | 1 << y)
+
+    extend(0, 0)
+    return found
 
 
 # -- public operations ----------------------------------------------------------------
@@ -444,9 +520,16 @@ def frank_number_exact(
     yes, with D1 and the witness.  A P whose E − P holds a star of
     `_Kernel.small_stars`, or that lies inside an earlier P′ refuted by a
     search, fails without a search: E − P contains E − P′.  (When λ ≥ 4 no
-    vertex has a star.)  Only when every P fails (f ≥ 3) does the scan run
-    to its end, and an exact set cover over the maximal deletable sets picks
-    the certificate; it stops at the first cover of 3 sets.  The edge limit
+    vertex has a star.)  A leaf whose bound on its deletable arcs (see
+    `_search`) fails the same way is skipped with no kernel call, so P, D1
+    and the witness are those of the full scan.  At the m-th refuted set the
+    automorphisms are computed once; from then on every image of a refuted
+    set, the earlier ones too, is refuted.  A scan with no yes proves f ≥ 3.
+    Pairs of maximal scanned sets P1, P2 then get the same two rules and a
+    decision on E − (P1 ∪ P2); the first yes gives f = 3.  Only when no pair
+    completes (a 3-cover needs a skipped set, or f ≥ 4) does the full scan
+    run, and an exact set cover over its maximal deletable sets picks the
+    certificate, stopping at the first cover of 3 sets.  The edge limit
     bounds every search.
     """
     lam = g._lambda_upto4() if g.num_vertices >= 2 else 0
@@ -465,33 +548,39 @@ def frank_number_exact(
         chosen = [(universe, omask)]
     else:
         early: List[Tuple[int, int]] = []
-        # holders[j] has bit k set when the k-th set refuted by a search
-        # holds edge j; a set inside a refuted one fails too
-        holders = [0] * kern.m
-        refuted = 0
+        holders = [0] * kern.m  # the refuted sets (see `_inside`)
+        refuted: Set[int] = set()
+        autos: List[List[int]] = []
+
+        def hopeless(dmask: int) -> bool:  # E − dmask holds a star, or a refuted set holds dmask
+            return (any(not star & dmask for star in kern.small_stars)
+                    or _inside(holders, dmask, len(refuted)))
+
+        def refute(dmask: int) -> None:
+            for image in [sum(1 << p[j] for j in range(kern.m) if (dmask >> j) & 1)
+                          for p in autos] or [dmask]:
+                if image not in refuted:
+                    holders[:] = [h | ((image >> j) & 1) << len(refuted) for j, h in enumerate(holders)]
+                    refuted.add(image)
+            if not autos and len(refuted) >= kern.m:
+                autos.extend(_automorphisms(kern))
+                for earlier in list(refuted):
+                    refute(earlier)
 
         def completes(dmask: int, omask: int) -> bool:
-            nonlocal refuted
+            if hopeless(dmask):
+                return False
             rest = universe & ~dmask
-            if any(star & rest == star for star in kern.small_stars):
-                return False
-            members = [j for j in range(kern.m) if (dmask >> j) & 1]
-            common = (1 << refuted) - 1
-            for j in members:
-                common &= holders[j]
-            if common:
-                return False
             status, witness, _ = _decide(kern, rest, None)
             if status is Status.FOUND:
                 early.extend(((dmask, omask), (rest, witness)))
                 return True
-            for j in members:
-                holders[j] |= 1 << refuted
-            refuted += 1
+            refute(dmask)
             return False
 
-        profiles = _scan_deletable_profiles(kern, completes)
-        chosen = early or _maximal_cover(kern, profiles)
+        profiles = _scan_deletable_profiles(kern, completes, hopeless)
+        chosen = (early or _complete_pair(kern, profiles, hopeless)
+                  or _maximal_cover(kern, _scan_deletable_profiles(kern)))
     orientations = tuple(kern.orientation_of(omask) for _, omask in chosen)
     # each edge goes to the first chosen set that holds it; loops to index 0
     cover = {e: 0 if g.is_loop(e) else next(

@@ -245,36 +245,36 @@ def proper_3_edge_coloring(g: Multigraph) -> Optional[Tuple[FrozenSet[int], Froz
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; coloring needs a cubic graph")
     if any(g.is_loop(e) for e in g.edge_ids):
         return None
+    links = g._links()
     for m in _matching_search(g):
-        rest = frozenset(g.edge_ids) - m
-        if not _even_cycles(g, rest):
+        if not _even_cycles(links, m):
             continue
+        rest = frozenset(g.edge_ids) - m
         cycles = cycles_from_edge_set(g, rest).cycles
         a = frozenset(e for c in cycles for e in c.edges[::2])
         return m, a, rest - a
     return None
 
 
-def _even_cycles(g: Multigraph, edge_ids: Iterable[int]) -> bool:
-    """True when every cycle of a loopless 2-regular edge set has even length.
+def _even_cycles(links: Dict[int, List[Tuple[int, int]]], matching: FrozenSet[int]) -> bool:
+    """True when the edges outside a perfect matching of a loopless cubic graph form even cycles.
 
-    Walks each cycle once, counting its edges; builds no cycle objects.
+    `links` is the graph's `_links()`, built once by the caller.  Walks each
+    cycle once, counting its edges; builds no cycle objects.
     """
-    nbrs: Dict[int, List[int]] = {}
-    for e in edge_ids:
-        u, v = g.ends(e)
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
     seen: Set[int] = set()
-    for start in nbrs:
+    for start, out in links.items():
         if start in seen:
             continue
         seen.add(start)
-        prev, x, length = start, nbrs[start][0], 1
+        came, x = next((e, w) for e, w in out if e not in matching)
+        length = 1
         while x != start:
             seen.add(x)
-            a, b = nbrs[x]
-            prev, x = x, b if a == prev else a
+            for e, w in links[x]:  # leave x by its other edge outside the matching
+                if e != came and e not in matching:
+                    break
+            came, x = e, w
             length += 1
         if length % 2:
             return False

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from orientcover import exact
@@ -156,8 +157,10 @@ def test_determinism_of_certificates():
 # -- early stop at the lower bound ----------------------------------------------------
 
 # SHA-256 of json.dumps(cert.to_json(), sort_keys=True) for Petersen (f = 3 > 2):
-# the scan runs to its end and the set cover picks the certificate
-PETERSEN_CERT_SHA256 = "fc149aac399adf7fdace8d2bf671c7edaa651f8d377e9c29fe8544a37e8a41bd"
+# two maximal scanned sets and a decision on the rest give the certificate
+PETERSEN_CERT_SHA256 = "bdd9fa94894508637deeab1c5a268d61bec81d1874417656c260b7ddfeffe640"
+# the same when no pair completes: the full scan and the set cover pick it
+PETERSEN_FULL_COVER_SHA256 = "fc149aac399adf7fdace8d2bf671c7edaa651f8d377e9c29fe8544a37e8a41bd"
 
 
 def seeded_graphs(max_edges):
@@ -215,17 +218,19 @@ def test_early_stop_certificate_has_lower_bound_size(monkeypatch, name, bound):
 
 
 def test_full_cover_runs_only_above_the_lower_bound(monkeypatch):
-    # the scan runs to its end, and the set cover picks the certificate,
-    # exactly when no certificate of lower-bound size exists
-    full = exact._maximal_cover
+    # the pair completion runs exactly when no certificate of lower-bound
+    # size exists, and on these graphs it always completes a pair, so the
+    # full scan and its set cover never run
+    no_full_cover(monkeypatch)
+    pair = exact._complete_pair
     calls = []
 
-    def counted(kern, profiles):
+    def counted(kern, profiles, hopeless):
         calls.append(len(profiles))
-        return full(kern, profiles)
+        return pair(kern, profiles, hopeless)
 
-    monkeypatch.setattr(exact, "_maximal_cover", counted)
-    cases = [(g, SolveLimits()) for g in seeded_graphs(18)]
+    monkeypatch.setattr(exact, "_complete_pair", counted)
+    cases = [(g, SolveLimits()) for g in seeded_graphs(18) + [keyed_graph("gp:5,2")]]
     cases.append((named_graph("moebius_kantor"), SolveLimits(max_enumerable_edges=24)))
     above = 0
     for g, limits in cases:
@@ -235,7 +240,80 @@ def test_full_cover_runs_only_above_the_lower_bound(monkeypatch):
         assert k == len(cert.orientations)
         assert verify_certificate(g, cert) == (True, frozenset()), g
         above += bool(calls)
-    assert len(cases) >= 16 and above >= 1
+    assert len(cases) >= 17 and above >= 2
+
+
+def test_failed_pair_completion_falls_back_to_the_full_cover(monkeypatch):
+    # with no pair completing, the full scan and the set cover give the
+    # certificate, and f stays exact
+    monkeypatch.setattr(exact, "_complete_pair", lambda kern, profiles, hopeless: None)
+    _, cert = frank_number_exact(named_graph("petersen"))
+    blob = json.dumps(cert.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PETERSEN_FULL_COVER_SHA256
+    for g in seeded_graphs(12):
+        assert frank_number_exact(g)[0] == brute_frank_number(g.vertices, as_edges(g)), g
+
+
+def test_leaf_skip_changes_no_certificate_up_to_f2(monkeypatch):
+    # a skipped leaf only holds sets that cannot complete, so the first
+    # completable set, its orientation and its witness stay the same
+    graphs = seeded_graphs(18)
+    skipping = [frank_number_exact(g) for g in graphs]
+    scan = exact._scan_deletable_profiles
+    monkeypatch.setattr(exact, "_scan_deletable_profiles",
+                        lambda kern, stop=None, skip=None: scan(kern, stop))
+    compared = 0
+    for g, (k, cert) in zip(graphs, skipping):
+        if k <= 2:
+            assert frank_number_exact(g)[1].to_json() == cert.to_json(), g
+            compared += 1
+    assert compared >= 15
+
+
+def test_leaf_bound_holds_every_deletable_arc():
+    # the bound a skip predicate sees at a leaf holds its deletable arcs
+    rng = random.Random(5150)
+    graphs = [named_graph(name) for name in ("k4", "theta", "prism3", "k33", "petersen")]
+    graphs += [random_cubic_3ec(rng, 8) for _ in range(2)]
+    for g in graphs:
+        kern = exact._Kernel(g)
+        bounds, leaves = [], []
+        exact._search(kern, 0, None, None, lambda mask, dmask: leaves.append((bounds[-1], dmask)),
+                      lambda bound: bounds.append(bound) and False)
+        assert leaves and all(dmask & ~bound == 0 for bound, dmask in leaves), g
+
+
+def automorphism_cases():
+    rng = random.Random(1729)
+    graphs = [named_graph(name) for name in corpus_names()]
+    graphs += [Multigraph.from_pairs(generalized_petersen_pairs(n, k))
+               for n in range(3, 8) for k in range(1, (n + 1) // 2)]
+    graphs += [random_cubic_3ec(rng, n) for n in (6, 8, 8, 10, 12, 14)]
+    return graphs
+
+
+def test_automorphisms_match_networkx():
+    for g in automorphism_cases():
+        kern = exact._Kernel(g)
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(kern.n))
+        h.add_edges_from(zip(kern.u, kern.v))
+        isos = [tuple(sigma[x] for x in range(kern.n))
+                for sigma in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter()]
+        perms = exact._automorphisms(kern)
+        assert len(perms) == len(isos), g
+        matched = set()
+        for p in perms:
+            assert sorted(p) == list(range(kern.m)), g
+            # each edge goes to an edge whose ends are the mapped ends
+            fits = {sigma for sigma in isos if all(
+                {kern.u[p[i]], kern.v[p[i]]} == {sigma[kern.u[i]], sigma[kern.v[i]]}
+                for i in range(kern.m))}
+            assert fits, (g, p)
+            matched |= fits
+        assert matched == set(isos), g
+        if len(set(zip(kern.u, kern.v))) == kern.m:  # simple: one permutation per map
+            assert len(set(map(tuple, perms))) == len(perms), g
 
 
 def test_completion_decision_matches_brute_force():
@@ -280,7 +358,7 @@ def test_petersen_completion_scan_skips_subsets_of_refuted_sets(monkeypatch):
     g = named_graph("petersen")
     k, cert = frank_number_exact(g)
     assert k == 3 and verify_certificate(g, cert) == (True, frozenset())
-    assert len(searches) == 217
+    assert len(searches) == 16
 
 
 def test_min_cover_floor_keeps_the_cover_on_petersen():

@@ -32,6 +32,7 @@ from orientcover.structures import (
     special_set,
     t_join,
     two_edge_disjoint_spanning_trees,
+    _even_cycles,
     _matching_search,
 )
 
@@ -128,6 +129,29 @@ def test_coloring_agrees_with_backtracking_reference():
             assert_three_perfect_matchings(g, classes)
             found += 1
     assert 20 <= found < len(graphs), found
+
+
+def test_even_cycle_test_matches_the_cycles_of_the_complement():
+    # the walk over the indexed links against the cycles cycles_from_edge_set
+    # finds in E - M, on every perfect matching; the multigraphs have parallel edges
+    rng = random.Random(6151)
+    graphs = [Multigraph.from_pairs(generalized_petersen_pairs(n, k)) for n, k in ((5, 2), (6, 2), (8, 3))]
+    graphs.append(Multigraph.from_pairs(flower_snark_pairs(5)))
+    while len(graphs) < 40:
+        points = [v for v in range(rng.choice((4, 6, 8))) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = list(zip(points[::2], points[1::2]))
+        if all(u != v for u, v in pairs):
+            graphs.append(Multigraph.from_pairs(pairs))
+    answers = set()
+    for g in graphs:
+        links = g._links()
+        for m in _matching_search(g):
+            rest = frozenset(g.edge_ids) - m
+            even = all(len(c.edges) % 2 == 0 for c in cycles_from_edge_set(g, rest).cycles)
+            assert _even_cycles(links, m) == even, (g, m)
+            answers.add(even)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("k", [9, 11])
