@@ -557,8 +557,8 @@ def frank_number_exact(
                     or _inside(holders, dmask, len(refuted)))
 
         def refute(dmask: int) -> None:
-            for image in [sum(1 << p[j] for j in range(kern.m) if (dmask >> j) & 1)
-                          for p in autos] or [dmask]:
+            members = [j for j in range(kern.m) if (dmask >> j) & 1]
+            for image in [sum(1 << p[j] for j in members) for p in autos] or [dmask]:
                 if image not in refuted:
                     holders[:] = [h | ((image >> j) & 1) << len(refuted) for j, h in enumerate(holders)]
                     refuted.add(image)
