@@ -11,7 +11,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -188,24 +187,7 @@ class Multigraph:
 
     def connected_components(self) -> Tuple[FrozenSet[int], ...]:
         """Vertex partition by connectivity; loops are irrelevant."""
-        seen: set = set()
-        comps: List[FrozenSet[int]] = []
-        links = self._links()
-        for root in sorted(self._vertices):
-            if root in seen:
-                continue
-            comp = {root}
-            queue = deque([root])
-            seen.add(root)
-            while queue:
-                x = queue.popleft()
-                for _, y in links[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        queue.append(y)
-            comps.append(frozenset(comp))
-        return tuple(comps)
+        return tuple(frozenset(comp) for comp in self._bfs_forest()[1])
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -218,6 +200,28 @@ class Multigraph:
                 links[u].append((e, v))
                 links[v].append((e, u))
         return links
+
+    def _bfs_forest(self) -> Tuple[Dict[int, Optional[int]], List[List[int]]]:
+        """(the edge that reached each vertex, each component's vertices in BFS order).
+
+        A breadth-first tree grows from each unreached vertex in turn, by id,
+        along _links(); its root is reached by None.
+        """
+        links = self._links()
+        via: Dict[int, Optional[int]] = {}
+        comps: List[List[int]] = []
+        for root in self.vertices:
+            if root in via:
+                continue
+            via[root] = None
+            queue = [root]
+            for x in queue:
+                for e, y in links[x]:
+                    if y not in via:
+                        via[y] = e
+                        queue.append(y)
+            comps.append(queue)
+        return via, comps
 
     def _network(self) -> Tuple[Dict[int, int], "_Network"]:
         """The flow network of the non-loop edges, with the index of each vertex.
@@ -280,30 +284,15 @@ class Multigraph:
     def _signatures(self) -> Tuple[Dict[int, int], int]:
         """(signature of each non-loop edge, number of components), over a spanning forest.
 
-        The forest grows breadth-first from each unreached vertex in turn.
-        Non-tree edge number i, in id order, has signature 1 << i, the bit of
-        its fundamental cycle; a tree edge has the bits of the non-tree edges
-        with exactly one end below it, those of the fundamental cycles through
-        it.  An edge set is an edge cut exactly when it meets every cycle
-        evenly, that is when the signatures of its edges XOR to 0 (Pritchard
-        and Thurimella 2011, with exact integers in place of random labels).
+        The forest is that of _bfs_forest.  Non-tree edge number i, in id
+        order, has signature 1 << i, the bit of its fundamental cycle; a tree
+        edge has the bits of the non-tree edges with exactly one end below
+        it, those of the fundamental cycles through it.  An edge set is an
+        edge cut exactly when it meets every cycle evenly, that is when the
+        signatures of its edges XOR to 0 (Pritchard and Thurimella 2011, with
+        exact integers in place of random labels).
         """
-        links = self._links()
-        via: Dict[int, Optional[int]] = {}  # the tree edge that reached each vertex
-        order: List[int] = []
-        components = 0
-        for root in self.vertices:
-            if root in via:
-                continue
-            components += 1
-            via[root] = None
-            queue = [root]
-            for x in queue:
-                for e, y in links[x]:
-                    if y not in via:
-                        via[y] = e
-                        queue.append(y)
-            order += queue
+        via, comps = self._bfs_forest()
         tree = set(via.values())
         below = dict.fromkeys(self._vertices, 0)
         sig: Dict[int, int] = {}
@@ -312,12 +301,12 @@ class Multigraph:
                 sig[e] = 1 << len(sig)
                 below[u] ^= sig[e]
                 below[v] ^= sig[e]
-        for x in reversed(order):
+        for x in reversed([x for comp in comps for x in comp]):
             e = via[x]
             if e is not None:
                 sig[e] = below[x]
                 below[self.other_end(e, x)] ^= below[x]
-        return sig, components
+        return sig, len(comps)
 
     def _low_lambda(self) -> Tuple[Dict[int, int], int]:
         """(signature of each non-loop edge, min(lambda, 3)) from one signature pass.

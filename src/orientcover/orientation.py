@@ -326,13 +326,8 @@ def directed_local_connectivity(d: Orientation, u: int, v: int) -> int:
 # -- contraction -----------------------------------------------------------------
 
 
-def contract_orientation(d: Orientation, f: Iterable[int]) -> Orientation:
-    """Orientation of graph/f with inherited directions on surviving edges."""
-    cr = d.graph.contract(f)
-    return orient_quotient(d, cr)
-
-
 def orient_quotient(d: Orientation, cr: ContractionResult) -> Orientation:
+    """Orientation of the quotient cr.graph with inherited directions on surviving edges."""
     tails = {}
     for e in cr.graph.edge_ids:
         if cr.graph.is_loop(e):

@@ -67,10 +67,11 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
         raise InternalVerificationError(f"expected 7 packings, got {len(packings)}")
     special_of = {p: _special_set(g, p) for p in dict.fromkeys(packings)}
     specials = tuple(special_of[p] for p in packings)
+    edge_sets = [p.edge_ids for p in packings]  # the property builds a new set on each read
     membership: Dict[int, Tuple[int, ...]] = {}
     witness: Dict[int, int] = {}
     for e in g.edge_ids:
-        idx = tuple(k for k, p in enumerate(packings) if e in p.edge_ids)
+        idx = tuple(k for k, ids in enumerate(edge_sets) if e in ids)
         if len(idx) != 4:
             raise InternalVerificationError(
                 f"edge {e} lies in {len(idx)} packings instead of 4")

@@ -28,7 +28,6 @@ from .multigraph import ContractionResult, Multigraph
 from .orientation import (
     Orientation,
     is_deletable_set,
-    is_well_balanced,
     lift_tail,
     orient_quotient,
     well_balanced_orientation,
@@ -181,17 +180,17 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking)
 
     Construction: contract the maximal 2-edge-connected pieces of g - m and
     orient each piece strongly connected with the packing cycles as
-    circuits.  The quotient's orientation comes from odd-vertex pairings
-    whose constrained Eulerian orientations restrict to well-balanced ones,
-    each lifted and verified in turn.  If none of the first pairings passes,
-    deletability_decide searches the quotient for an orientation in which m
-    is deletable; that is complete, since with strongly oriented pieces g's
-    orientation and each single deletion of m stay strongly connected
-    exactly when the quotient's do.  The search raises SearchExhaustedError
-    only when its node budget runs out above the edge limit.  Checks that g
-    is essentially 4-edge-connected, that m is a matching and that p avoids
-    it (PreconditionError otherwise); the esse4 pipeline checks g once at
-    entry.
+    circuits.  The quotient's orientation comes from odd-vertex pairings:
+    each pairing's constrained Eulerian orientation is lifted and verified
+    in turn, and the first that passes wins.  If none of the first pairings
+    passes, deletability_decide searches the quotient for an orientation in
+    which m is deletable; that is complete, since with strongly oriented
+    pieces g's orientation and each single deletion of m stay strongly
+    connected exactly when the quotient's do.  The search raises
+    SearchExhaustedError only when its node budget runs out above the edge
+    limit.  Checks that g is essentially 4-edge-connected, that m is a
+    matching and that p avoids it (PreconditionError otherwise); the esse4
+    pipeline checks g once at entry.
     """
     if not g.is_essentially_4ec():
         raise PreconditionError("not essentially 4-edge-connected")
@@ -234,10 +233,7 @@ def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking
             return False
         return all(is_circuit_in(d, c) for c in p.cycles)
 
-    lam = quotient._flow_tree()
     for dq in _pairing_orientations(quotient, constraints, _MATCHING_PAIRINGS):
-        if not is_well_balanced(quotient, dq, lam):
-            continue
         d = build(dq)
         if good(d):
             return d

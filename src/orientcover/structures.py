@@ -1,6 +1,7 @@
 """Combinatorial building blocks: matchings, colorings, T-joins, tree pairs,
-cycle packings, special sets, cubic extensions, and the path/circuit helpers
-used by the certifying pipelines."""
+cycle packings, special sets, cubic extensions, the deletable arcs of a
+circuit (one call of the reachability kernel) and the path splitting used
+by the certifying pipelines."""
 
 from __future__ import annotations
 
@@ -14,12 +15,7 @@ from .errors import (
     UnknownEdgeError,
 )
 from .multigraph import Multigraph
-from .orientation import (
-    Orientation,
-    contract_orientation,
-    is_deletable_set,
-    is_strongly_connected,
-)
+from .orientation import Orientation, _deletable_among, is_strongly_connected
 
 
 # -- cycles and packings -----------------------------------------------------------
@@ -369,8 +365,8 @@ def t_join(g: Multigraph, t: Iterable[int]) -> Optional[FrozenSet[int]]:
     """Any edge set whose odd-degree vertices are exactly t, or None.
 
     Exists iff every component holds evenly many t-vertices; built by parity
-    propagation from the leaves of a spanning forest, so only forest edges
-    appear in the result.
+    propagation from the leaves of the graph's BFS forest (_bfs_forest), so
+    only forest edges appear in the result.
     """
     tset = set(t)
     for v in tset:
@@ -378,31 +374,16 @@ def t_join(g: Multigraph, t: Iterable[int]) -> Optional[FrozenSet[int]]:
             raise UnknownEdgeError(f"t contains unknown vertex {v}")
     parity = {v: (1 if v in tset else 0) for v in g.vertices}
     chosen: Set[int] = set()
-    seen: Set[int] = set()
-    for root in g.vertices:
-        if root in seen:
-            continue
-        order = [root]
-        seen.add(root)
-        parent_edge: Dict[int, Tuple[int, int]] = {}
-        qi = 0
-        while qi < len(order):
-            x = order[qi]
-            qi += 1
-            for e in g.incident_edges(x):
-                y = g.other_end(e, x)
-                if y != x and y not in seen:
-                    seen.add(y)
-                    parent_edge[y] = (e, x)
-                    order.append(y)
+    via, comps = g._bfs_forest()
+    for order in comps:
         if sum(parity[v] for v in order) % 2:
             return None
         for v in reversed(order[1:]):
             if parity[v]:
-                e, p = parent_edge[v]
+                e = via[v]
                 chosen.add(e)
                 parity[v] = 0
-                parity[p] ^= 1
+                parity[g.other_end(e, v)] ^= 1
     return frozenset(chosen)
 
 
@@ -669,12 +650,14 @@ def _check_extension_recovers(g: Multigraph, ext: CubicExtension) -> None:
 
 
 def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
-    """An arc of the circuit c whose deletion keeps d strongly connected.
+    """The smallest edge id among the deletable arcs of the circuit c of d.
 
-    Follows the constructive argument: pick an outside edge touching the
-    circuit, close it into a circuit through part of c, contract, and recurse
-    on the surviving part of c; the recursion bottoms out when c collapses to
-    a loop.  The result is verified before being returned.  Checks that d is
+    An arc is deletable when d stays strongly connected without it; one
+    call of the reachability kernel names the circuit's deletable arcs.  A
+    3-edge-connected host guarantees that one exists: an outside edge at c
+    closes, through a directed path and part of c, into a circuit that
+    avoids some arc of c; contracting it keeps d strong and shortens c, down
+    to a loop, whose arc every contracted circuit avoids.  Checks that d is
     strongly connected, that its graph is 3-edge-connected and that c is a
     circuit of d (NotStronglyConnectedError or PreconditionError otherwise);
     the esse4 pipeline checks its input once at entry and runs the search
@@ -692,108 +675,10 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
 
 def _deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
     """find_deletable_arc_on_circuit for a circuit c of a checked orientation d."""
-    e = _recurse_circuit_arc(d, _aligned_cycle(d, c))
-    if not is_deletable_set(d, [e]):  # pragma: no cover - proof guarantee
-        raise InternalVerificationError("selected circuit arc is not deletable")
-    return e
-
-
-def _aligned_cycle(d: Orientation, c: Cycle) -> Cycle:
-    """Flip the stored cycle order, if needed, to run along the arcs."""
-    nonloop = [(i, e) for i, e in enumerate(c.edges) if not d.graph.is_loop(e)]
-    if not nonloop or all(d.tail(e) == c.vertices[i] for i, e in nonloop):
-        return c
-    vs = (c.vertices[0],) + tuple(reversed(c.vertices[1:]))
-    es = tuple(reversed(c.edges))
-    flipped = Cycle(vs, es)
-    assert all(d.tail(e) == flipped.vertices[i] for i, e in enumerate(flipped.edges)
-               if not d.graph.is_loop(e))
-    return flipped
-
-
-def _recurse_circuit_arc(d: Orientation, c: Cycle) -> int:
-    g = d.graph
-    if len(c.edges) == 1 and g.is_loop(c.edges[0]):
-        return c.edges[0]
-    cvs = c.vertex_set
-    # outside edge touching the circuit (non-loop); 3-edge-connectivity provides one
-    candidates = sorted(
-        e for v in sorted(cvs) for e in g.incident_edges(v)
-        if e not in c.edge_set and not g.is_loop(e)
-    )
-    if not candidates:  # pragma: no cover - excluded by 3-edge-connectivity
-        raise InternalVerificationError("no edge leaves the circuit")
-    e = candidates[0]
-    t, h = d.tail(e), d.head(e)
-    if t in cvs and h in cvs:
-        bridge_path = [e]
-        entry, exit_ = h, t
-    elif t in cvs:
-        hop = _path_avoiding(d, h, cvs, forward=True)
-        bridge_path = [e] + hop[0]
-        entry, exit_ = hop[1], t
-    else:
-        hop = _path_avoiding(d, t, cvs, forward=False)
-        bridge_path = hop[0] + [e]
-        entry, exit_ = h, hop[1]
-    # close with the circuit's own directed subpath entry -> exit_
-    closing = _circuit_subpath(c, entry, exit_)
-    star = set(bridge_path) | set(closing)
-    quotient = contract_orientation(d, star)
-    remaining = [e2 for e2 in c.edges if e2 not in star]
-    if not remaining:  # pragma: no cover - closing is a proper subpath
-        raise InternalVerificationError("circuit vanished during contraction")
-    sub = cycles_from_edge_set(quotient.graph, remaining)
-    if len(sub.cycles) != 1:  # pragma: no cover - image of a circuit is one cycle
-        raise InternalVerificationError("circuit image is not a single cycle")
-    return _recurse_circuit_arc(quotient, _aligned_cycle(quotient, sub.cycles[0]))
-
-
-def _path_avoiding(d: Orientation, src: int, stop: FrozenSet[int], forward: bool) -> Tuple[List[int], int]:
-    """Shortest directed path between src and a stop vertex, internally off stop.
-
-    Forward paths run from src to the stop vertex, backward ones from the
-    stop vertex to src; returns (edges in path order, the stop vertex).
-    """
-    if src in stop:
-        return [], src
-    step = d.out_arcs if forward else d.in_arcs
-    prev: Dict[int, Tuple[int, int]] = {}
-    seen = {src}
-    queue = [src]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y, e in step(x):
-            if y in seen:
-                continue
-            prev[y] = (e, x)
-            if y in stop:
-                path = []
-                z = y
-                while z != src:
-                    e2, z = prev[z]
-                    path.append(e2)
-                return (path[::-1] if forward else path), y
-            seen.add(y)
-            queue.append(y)
-    raise NotStronglyConnectedError("no directed path between the circuit and an outside vertex")
-
-
-def _circuit_subpath(c: Cycle, start: int, end: int) -> List[int]:
-    """Edges of the (possibly empty) forward walk start -> end along c."""
-    if start == end:
-        return []
-    pos = {v: i for i, v in enumerate(c.vertices)}
-    i = pos[start]
-    j = pos[end]
-    n = len(c.vertices)
-    out = []
-    while i != j:
-        out.append(c.edges[i])
-        i = (i + 1) % n
-    return out
+    found = _deletable_among(d, c.edges)
+    if not found:  # pragma: no cover - guaranteed on a 3-edge-connected host
+        raise InternalVerificationError("no arc of the circuit is deletable")
+    return min(found)
 
 
 def paths_to_two_matchings(

@@ -264,6 +264,49 @@ def brute_deletable_arcs(vertices: Sequence[int], arcs: Sequence[Tuple[int, int,
     return frozenset(good)
 
 
+def ref_t_join(vertices: Sequence[int], edges: Sequence[Edge], t: Iterable[int]) -> Optional[FrozenSet[int]]:
+    """The package's former t_join: None when a component holds oddly many
+    t-vertices, else parity propagated from the leaves of a BFS forest grown
+    from each unreached vertex, by id, along each vertex's edges in id order."""
+    incident: Dict[int, List[int]] = {v: [] for v in vertices}
+    ends = {e: (u, v) for e, u, v in edges}
+    for e in sorted(ends):
+        u, v = ends[e]
+        incident[u].append(e)
+        if v != u:
+            incident[v].append(e)
+    tset = set(t)
+    parity = {v: (1 if v in tset else 0) for v in vertices}
+    chosen: Set[int] = set()
+    seen: Set[int] = set()
+    for root in sorted(vertices):
+        if root in seen:
+            continue
+        order = [root]
+        seen.add(root)
+        parent_edge: Dict[int, Tuple[int, int]] = {}
+        qi = 0
+        while qi < len(order):
+            x = order[qi]
+            qi += 1
+            for e in incident[x]:
+                u, v = ends[e]
+                y = v if u == x else u
+                if y != x and y not in seen:
+                    seen.add(y)
+                    parent_edge[y] = (e, x)
+                    order.append(y)
+        if sum(parity[v] for v in order) % 2:
+            return None
+        for v in reversed(order[1:]):
+            if parity[v]:
+                e, p = parent_edge[v]
+                chosen.add(e)
+                parity[v] = 0
+                parity[p] ^= 1
+    return frozenset(chosen)
+
+
 def brute_frank_number(vertices: Sequence[int], edges: Sequence[Edge]) -> int:
     """Exact Frank number by full enumeration and cover search over set sizes."""
     universe = frozenset(e for e, _, _ in edges)

@@ -97,7 +97,7 @@ GOLDEN = {
     ("wheel4", "color3"): "PreconditionError",
     ("wheel4", "bf5"): "PreconditionError",
     ("wheel5", "seven"): "86101247ee55bbe001459ddb8df6e9afeea5ce67734ebf2fbe4caabb1ac5a7a0",
-    ("wheel5", "esse4"): "ce39f49c16eee6781d01a874a30764e9569d07f1f9727cba7c159e0356522f2d",
+    ("wheel5", "esse4"): "1d168ab7f109b38c0e6d15528ad09748a4ee3b1db4ab6d4fc379f3f8be7ea202",
     ("wheel5", "color3"): "PreconditionError",
     ("wheel5", "bf5"): "PreconditionError",
     ("gp(8,3)", "seven"): "a305935c6f5f49aa3818ac28c0393fc52bac13c71ab0331a1cde791d2f532b10",

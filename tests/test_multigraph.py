@@ -471,6 +471,26 @@ def test_components_empty_graph():
     assert Multigraph([], {}).connected_components() == ()
 
 
+def test_components_match_networkx_on_seeded_multigraphs():
+    """Loops, parallel edges, isolated vertices and several components; the
+    components come in the order of their smallest vertex."""
+    rng = random.Random(2424)
+    several = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n + 3))]
+        pairs += [pairs[0]] * rng.randint(0, 2) if pairs else []  # parallel edges or loops
+        g = Multigraph.from_pairs(pairs, extra_vertices=range(n))
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(pairs)
+        comps = g.connected_components()
+        assert set(comps) == {frozenset(c) for c in nx.connected_components(h)}
+        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        several += len(comps) > 1
+    assert several >= 100
+
+
 def test_maximal_2ec_cycle_is_one_class():
     g = Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)])
     assert g.maximal_2ec_subgraphs() == (frozenset({0, 1, 2}),)

@@ -14,7 +14,6 @@ from orientcover.errors import (
 from orientcover.multigraph import Multigraph, _Network
 from orientcover.orientation import (
     Orientation,
-    contract_orientation,
     cut_characterization_check,
     deletable_arcs,
     directed_local_connectivity,
@@ -24,6 +23,7 @@ from orientcover.orientation import (
     is_k_arc_connected,
     is_strongly_connected,
     is_well_balanced,
+    orient_quotient,
     orientation_from_json,
     well_balanced_orientation,
 )
@@ -183,7 +183,7 @@ def test_contract_circuit_stays_strong():
     g = named_graph("petersen")
     d = well_balanced_orientation(g)
     pentagon = [0, 1, 2, 3, 4]
-    assert is_strongly_connected(contract_orientation(d, pentagon))
+    assert is_strongly_connected(orient_quotient(d, d.graph.contract(pentagon)))
 
 
 def test_quotient_and_parts_strong_implies_whole():
@@ -191,7 +191,7 @@ def test_quotient_and_parts_strong_implies_whole():
     g = named_graph("prism3")
     tails = {0: 0, 1: 1, 2: 2, 3: 4, 4: 5, 5: 3, 6: 3, 7: 1, 8: 5}
     d = Orientation(g, tails)
-    quot = contract_orientation(d, [0, 1, 2, 3, 4, 5])
+    quot = orient_quotient(d, d.graph.contract([0, 1, 2, 3, 4, 5]))
     assert is_strongly_connected(quot)
     assert is_strongly_connected(d)
 
@@ -203,7 +203,7 @@ def test_random_contractions_of_corpus_orientations():
         d = well_balanced_orientation(g)
         for _ in range(5):
             f = rng.sample(list(g.edge_ids), 3)
-            dq = contract_orientation(d, f)
+            dq = orient_quotient(d, d.graph.contract(f))
             assert is_strongly_connected(dq)  # contraction preserves strong connectivity
 
 
@@ -211,7 +211,7 @@ def test_contract_empty_returns_same_orientation():
     g = named_graph("k4")
     d = eulerian_orientation_constrained(
         Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)]), {})
-    assert contract_orientation(d, []).tails == d.tails
+    assert orient_quotient(d, d.graph.contract([])).tails == d.tails
 
 
 # -- constrained Eulerian orientations ---------------------------------------------------

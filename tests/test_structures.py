@@ -39,10 +39,12 @@ from orientcover.structures import (
 from orientcover.packings import seven_cycle_packings
 from oracles import (
     backtrack_3_edge_coloring,
+    brute_deletable_arcs,
     brute_min_cut,
     flower_snark_pairs,
     generalized_petersen_pairs,
     ref_perfect_matchings,
+    ref_t_join,
 )
 from test_exact import random_cubic_3ec
 
@@ -226,6 +228,7 @@ def test_t_join_output_parity_property(pairs, t):
     else:
         assert result is not None
         assert odd_degree_vertices(g, result) == frozenset(t)
+    assert result == ref_t_join(g.vertices, g.edge_multiset(), t)
 
 
 # -- spanning tree pairs ----------------------------------------------------------------
@@ -497,12 +500,11 @@ def test_circuit_arc_requires_3ec_host():
         find_deletable_arc_on_circuit(d, c)
 
 
-def test_circuit_arc_stress_over_sampled_orientations():
-    """Walk a directed cycle out of many strong orientations; the selected arc
-    must always lie on it and survive a deletion check."""
+def sampled_circuits():
+    """(graph, orientation, circuit): a directed cycle walked out of each of
+    many sampled strong orientations of four cubic corpus graphs."""
     from orientcover.exact import _Kernel
 
-    checked = 0
     for name in ("petersen", "prism3", "k33", "cube"):
         g = named_graph(name)
         kern = _Kernel(g)
@@ -520,14 +522,30 @@ def test_circuit_arc_stress_over_sampled_orientations():
                 path.append((x, e))
                 x = h
             k = seen[x]
-            c = Cycle(tuple(v for v, _ in path[k:]), tuple(e for _, e in path[k:]))
-            assert is_circuit_in(d, c)
-            a = find_deletable_arc_on_circuit(d, c)
-            assert a in c.edge_set
-            rest = {f: t for f, t in d.tails.items() if f != a}
-            assert is_strongly_connected(Orientation(g.delete_edges([a]), rest))
-            checked += 1
+            yield g, d, Cycle(tuple(v for v, _ in path[k:]), tuple(e for _, e in path[k:]))
+
+
+def test_circuit_arc_stress_over_sampled_orientations():
+    """Walk a directed cycle out of many strong orientations; the selected arc
+    must always lie on it and survive a deletion check."""
+    checked = 0
+    for g, d, c in sampled_circuits():
+        assert is_circuit_in(d, c)
+        a = find_deletable_arc_on_circuit(d, c)
+        assert a in c.edge_set
+        rest = {f: t for f, t in d.tails.items() if f != a}
+        assert is_strongly_connected(Orientation(g.delete_edges([a]), rest))
+        checked += 1
     assert checked >= 25
+
+
+def test_circuit_arc_is_the_smallest_deletable_arc_of_the_circuit():
+    theta = named_graph("theta")
+    two_cycle = (theta, Orientation(theta, {0: 0, 1: 1, 2: 0}), cycles_from_edge_set(theta, [0, 1]).cycles[0])
+    for g, d, c in [*sampled_circuits(), two_cycle]:
+        loops = [e for e in g.edge_ids if g.is_loop(e)]
+        deletable = brute_deletable_arcs(g.vertices, list(d.arcs()), loops)
+        assert find_deletable_arc_on_circuit(d, c) == min(c.edge_set & deletable)
 
 
 # -- path splitting -----------------------------------------------------------------------
