@@ -6,13 +6,17 @@ back to the host graph by identity.  Loops and parallel edges are first-class;
 loops contribute 2 to a degree and never appear in any cut.
 
 All values are immutable after construction and every operation is a pure
-function of its inputs.
+function of its inputs.  Derived structure (links, the BFS forest, cycle-space
+signatures, small-lambda values, the flow-equivalent tree and the 3-edge cuts)
+is computed once per graph, on first use, and kept on it as immutable values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import UnknownEdgeError, UnknownVertexError
 
@@ -22,10 +26,30 @@ BECAME_LOOP = "became-loop"
 CONTRACTED_AWAY = "contracted-away"
 
 
+def _cached(method: Callable) -> Callable:
+    """A derived value of a graph, built on first use and kept in its _memo.
+
+    The graph is immutable, so the value never goes stale; it must be
+    immutable too (tuples, frozensets, MappingProxyType), since every caller
+    shares it.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return self._memo[name]
+        except KeyError:
+            value = self._memo[name] = method(self)
+            return value
+
+    return cached
+
+
 class Multigraph:
     """An undirected multigraph over integer vertex and edge identifiers."""
 
-    __slots__ = ("_vertices", "_edges", "_incidence")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_memo")
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[int, Tuple[int, int]]):
         vset = frozenset(int(v) for v in vertices)
@@ -43,6 +67,7 @@ class Multigraph:
             if v != u:
                 inc[v].append(e)
         self._incidence = {v: tuple(sorted(ids)) for v, ids in inc.items()}
+        self._memo: Dict[str, object] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -192,16 +217,18 @@ class Multigraph:
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
-    def _links(self) -> Dict[int, List[Tuple[int, int]]]:
+    @_cached
+    def _links(self) -> Mapping[int, Tuple[Tuple[int, int], ...]]:
         """(edge id, other end) for each non-loop edge at each vertex, by edge id."""
         links: Dict[int, List[Tuple[int, int]]] = {v: [] for v in self._vertices}
         for e, (u, v) in self._edges.items():
             if u != v:
                 links[u].append((e, v))
                 links[v].append((e, u))
-        return links
+        return MappingProxyType({v: tuple(out) for v, out in links.items()})
 
-    def _bfs_forest(self) -> Tuple[Dict[int, Optional[int]], List[List[int]]]:
+    @_cached
+    def _bfs_forest(self) -> Tuple[Mapping[int, Optional[int]], Tuple[Tuple[int, ...], ...]]:
         """(the edge that reached each vertex, each component's vertices in BFS order).
 
         A breadth-first tree grows from each unreached vertex in turn, by id,
@@ -209,7 +236,7 @@ class Multigraph:
         """
         links = self._links()
         via: Dict[int, Optional[int]] = {}
-        comps: List[List[int]] = []
+        comps: List[Tuple[int, ...]] = []
         for root in self.vertices:
             if root in via:
                 continue
@@ -220,8 +247,8 @@ class Multigraph:
                     if y not in via:
                         via[y] = e
                         queue.append(y)
-            comps.append(queue)
-        return via, comps
+            comps.append(tuple(queue))
+        return MappingProxyType(via), tuple(comps)
 
     def _network(self) -> Tuple[Dict[int, int], "_Network"]:
         """The flow network of the non-loop edges, with the index of each vertex.
@@ -256,7 +283,8 @@ class Multigraph:
             best = net.max_flow((0,), (v,), best)[0]
         return best
 
-    def _flow_tree(self) -> Dict[Tuple[int, int], int]:
+    @_cached
+    def _flow_tree(self) -> Mapping[Tuple[int, int], int]:
         """Edge connectivity on the n - 1 edges of a flow-equivalent tree, keyed (u < v).
 
         Gusfield's method (Gusfield 1990, after Gomory and Hu 1961): every vertex
@@ -279,9 +307,10 @@ class Multigraph:
             for v in range(s + 1, len(verts)):
                 if side[v] and parent[v] == t:
                     parent[v] = s
-        return lam
+        return MappingProxyType(lam)
 
-    def _signatures(self) -> Tuple[Dict[int, int], int]:
+    @_cached
+    def _signatures(self) -> Tuple[Mapping[int, int], int]:
         """(signature of each non-loop edge, number of components), over a spanning forest.
 
         The forest is that of _bfs_forest.  Non-tree edge number i, in id
@@ -306,30 +335,32 @@ class Multigraph:
             if e is not None:
                 sig[e] = below[x]
                 below[self.other_end(e, x)] ^= below[x]
-        return sig, len(comps)
+        return MappingProxyType(sig), len(comps)
 
-    def _low_lambda(self) -> Tuple[Dict[int, int], int]:
-        """(signature of each non-loop edge, min(lambda, 3)) from one signature pass.
+    @_cached
+    def _low_lambda(self) -> int:
+        """min(lambda, 3) from the signature pass.
 
         0 when the graph is disconnected, 1 when some edge is a cut on its own
         (signature 0), 2 when two edges form one (equal signatures), else 3.
         """
         sig, components = self._signatures()
         values = set(sig.values())
-        return sig, 0 if components > 1 else 1 if 0 in values else 2 if len(values) < len(sig) else 3
+        return 0 if components > 1 else 1 if 0 in values else 2 if len(values) < len(sig) else 3
 
     def is_3_edge_connected(self) -> bool:
         """At least 2 vertices and no edge cut of fewer than 3 edges; no flow is run."""
-        return self.num_vertices >= 2 and self._low_lambda()[1] == 3
+        return self.num_vertices >= 2 and self._low_lambda() == 3
 
+    @_cached
     def _lambda_upto4(self) -> int:
         """min(lambda, 4) with no flow: _low_lambda, then 3 when some edge is on a 3-edge cut."""
         if self.num_vertices < 2:
             raise UnknownVertexError("edge connectivity needs at least 2 vertices")
-        sig, low = self._low_lambda()
-        return low if low < 3 else 3 if next(self._3cut_edges(sig), None) is not None else 4
+        low = self._low_lambda()
+        return low if low < 3 else 3 if next(self._3cut_edges(), None) is not None else 4
 
-    def _3cut_edges(self, sig: Dict[int, int]) -> Iterator[int]:
+    def _3cut_edges(self) -> Iterator[int]:
         """Each non-loop edge on a 3-edge cut once, from the signatures of a 3-edge-connected graph.
 
         The stars of vertices with three non-loop edges come first, with no
@@ -337,6 +368,7 @@ class Multigraph:
         is the signature of an edge h: the signatures are nonzero and
         distinct, so e, f and h are three edges whose signatures XOR to 0.
         """
+        sig = self._signatures()[0]
         found: Set[int] = set()
         by_sig = {s: e for e, s in sig.items()}
         stars = ([e for e, _ in out] for out in self._links().values() if len(out) == 3)
@@ -347,7 +379,8 @@ class Multigraph:
                 found.add(k)
                 yield k
 
-    def _3cuts(self) -> List[Tuple[FrozenSet[int], FrozenSet[int]]]:
+    @_cached
+    def _3cuts(self) -> Tuple[Tuple[FrozenSet[int], FrozenSet[int]], ...]:
         """(side, cut) for each edge cut of 3 edges with both sides >= 2 vertices.
 
         The candidates are the edge triples whose signatures XOR to 0, by edge
@@ -381,14 +414,14 @@ class Multigraph:
                                 queue.append(y)
                     if 2 <= len(side) <= self.num_vertices - 2 and self.edge_cut(side) == cut:
                         found.append((frozenset(side), cut))
-        return found
+        return tuple(found)
 
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
 
-        Graphs of fewer than 2 vertices qualify.  Otherwise one signature pass
-        tests 3-edge-connectivity and another lists the nontrivial 3-cuts of
-        _3cuts; no flow is run.
+        Graphs of fewer than 2 vertices qualify.  Otherwise the signature pass
+        tests 3-edge-connectivity and _3cuts lists the nontrivial 3-cuts; no
+        flow is run.
         """
         return self.num_vertices < 2 or (self.is_3_edge_connected() and not self._3cuts())
 

@@ -474,21 +474,20 @@ def pairings(odd: Sequence[int]) -> Iterator[Tuple[Tuple[int, int], ...]]:
     return rec(tuple(odd))
 
 
-def is_well_balanced(g: Multigraph, d: Orientation, lam: Optional[Dict[Tuple[int, int], int]] = None) -> bool:
+def is_well_balanced(g: Multigraph, d: Orientation) -> bool:
     """Check the floor(lambda/2) pairwise directed-connectivity condition.
 
-    lam is a flow-equivalent tree of g with its edge connectivities, by
-    default that of Multigraph._flow_tree.  Its pairs suffice: directed
-    connectivity obeys lambda_D(u, w) >= min(lambda_D(u, v), lambda_D(v, w)),
-    and floor(min / 2) is the minimum of the halves, so the condition on the
-    tree edges of a path gives it for the path's ends.  When every weight is
-    at least 2, every pair needs a path each way: one strength test answers
-    the pairs that need 1, and flows only those that need more.  All flows
-    run on one directed network of d, each stopped once it reaches its
-    requirement.
+    The pairs checked are the edges of g's flow-equivalent tree
+    (Multigraph._flow_tree), weighted by their edge connectivities.  They
+    suffice: directed connectivity obeys lambda_D(u, w) >=
+    min(lambda_D(u, v), lambda_D(v, w)), and floor(min / 2) is the minimum
+    of the halves, so the condition on the tree edges of a path gives it for
+    the path's ends.  When every weight is at least 2, every pair needs a
+    path each way: one strength test answers the pairs that need 1, and
+    flows only those that need more.  All flows run on one directed network
+    of d, each stopped once it reaches its requirement.
     """
-    if lam is None:
-        lam = g._flow_tree()
+    lam = g._flow_tree()
     low = 2 if lam and min(lam.values()) >= 2 else 1  # the least requirement checked by flows
     if low == 2 and not is_strongly_connected(d):
         return False
@@ -579,10 +578,9 @@ def _searched_well_balanced(g: Multigraph) -> Orientation:
     for piece in g.maximal_2ec_subgraphs():
         h = Multigraph(piece, {e: g.ends(e) for e in g.induced_edge_ids(piece)})
         kern = _Kernel(h)
-        lam = h._flow_tree()
         budget = None if kern.m <= DEFAULT_LIMITS.max_enumerable_edges else DEFAULT_LIMITS.node_budget
         status, mask, _ = _search(
-            kern, 0, budget, (), lambda mask, dmask: is_well_balanced(h, kern.orientation_of(mask), lam))
+            kern, 0, budget, (), lambda mask, dmask: is_well_balanced(h, kern.orientation_of(mask)))
         if status is Status.INDETERMINATE:
             raise SearchExhaustedError("well-balanced orientation search ran out of nodes")
         if status is Status.NO:  # pragma: no cover - Nash-Williams' theorem
@@ -607,14 +605,13 @@ def well_balanced_orientation(g: Multigraph) -> Orientation:
     """
     if not g.is_connected():
         raise PreconditionError("well-balanced orientation needs a connected graph")
-    lam = g._flow_tree()
     for d in _pairing_orientations(g, {}, _WELL_BALANCED_PAIRINGS):
-        if is_well_balanced(g, d, lam):
+        if is_well_balanced(g, d):
             return d
-    if max(lam.values(), default=0) <= 3:
+    if max(g._flow_tree().values(), default=0) <= 3:
         d = Orientation(g, _robbins_tails(g))
     else:
         d = _searched_well_balanced(g)
-    if not is_well_balanced(g, d, lam):  # pragma: no cover - guaranteed by both fallbacks
+    if not is_well_balanced(g, d):  # pragma: no cover - guaranteed by both fallbacks
         raise InternalVerificationError("fallback orientation failed the balance check")
     return d

@@ -26,8 +26,8 @@ from .structures import (
     odd_degree_vertices,
     partition_into_three_tjoins,
     perfect_matching,
+    special_set,
     t_join,
-    _special_set,
 )
 
 
@@ -53,25 +53,16 @@ class SevenPackings:
         }
 
 
-def _check_cubic_3ec(g: Multigraph) -> None:
-    for v in g.vertices:
-        if g.degree(v) != 3:
-            raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
-    if g.num_vertices >= 2 and not g.is_3_edge_connected():
-        raise PreconditionError("need a 3-edge-connected graph")
-
-
 def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
     """Verify properties (a) and (b) and bundle the result."""
     if len(packings) != 7:
         raise InternalVerificationError(f"expected 7 packings, got {len(packings)}")
-    special_of = {p: _special_set(g, p) for p in dict.fromkeys(packings)}
+    special_of = {p: special_set(g, p) for p in dict.fromkeys(packings)}
     specials = tuple(special_of[p] for p in packings)
-    edge_sets = [p.edge_ids for p in packings]  # the property builds a new set on each read
     membership: Dict[int, Tuple[int, ...]] = {}
     witness: Dict[int, int] = {}
     for e in g.edge_ids:
-        idx = tuple(k for k, ids in enumerate(edge_sets) if e in ids)
+        idx = tuple(k for k, p in enumerate(packings) if e in p.edge_ids)
         if len(idx) != 4:
             raise InternalVerificationError(
                 f"edge {e} lies in {len(idx)} packings instead of 4")
@@ -87,17 +78,15 @@ def seven_cycle_packings(g: Multigraph) -> SevenPackings:
     """Seven cycle packings with every edge special somewhere and in exactly 4.
 
     Checks that g is cubic and 3-edge-connected (PreconditionError
-    otherwise); the upper7 pipeline checks its input once at entry and
-    builds the packings directly.  The recursive case does not check its
-    quotients: contracting one side of a 3-edge cut of a cubic
-    3-edge-connected graph leaves a cubic 3-edge-connected graph.
+    otherwise).  The recursive case runs on the quotients left by
+    contracting either side of a 3-edge cut, which are cubic and
+    3-edge-connected again.
     """
-    _check_cubic_3ec(g)
-    return _seven_cycle_packings(g)
-
-
-def _seven_cycle_packings(g: Multigraph) -> SevenPackings:
-    """seven_cycle_packings on a graph already known to be cubic and 3-edge-connected."""
+    for v in g.vertices:
+        if g.degree(v) != 3:
+            raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
+    if g.num_vertices >= 2 and not g.is_3_edge_connected():
+        raise PreconditionError("need a 3-edge-connected graph")
     cut = g.find_nontrivial_3cut()
     if cut is None:
         return _assemble(g, _base_case(g))
@@ -147,12 +136,11 @@ def _recursive_case(
         halves.append((cr.graph, next(iter(merged))))
     relabeled = []
     for quotient, merged_vertex in halves:
-        sub = _seven_cycle_packings(quotient)
+        sub = seven_cycle_packings(quotient)
         relabeled.append(_relabel(quotient, sub, merged_vertex, cut_sorted))
     combined = []
     for k in range(7):
-        union = set(relabeled[0][k].edge_ids) | set(relabeled[1][k].edge_ids)
-        combined.append(cycles_from_edge_set(g, union))
+        combined.append(cycles_from_edge_set(g, relabeled[0][k].edge_ids | relabeled[1][k].edge_ids))
     return combined
 
 

@@ -5,11 +5,6 @@ resulting certificate by direct deletion checks, and refuses to return
 anything unverified.  Non-cubic inputs are handled by splitting at cut
 vertices or single connecting edges and by cubic extensions contracted back
 after the cubic construction runs on the host.
-
-Each pipeline checks its input's precondition once, at entry; its inner
-steps then run the private cores of the public constructions, which skip
-the re-check on the same graph.  Graphs built along the way (quotients,
-split sides, cubic extensions) are new inputs and are checked again.
 """
 
 from __future__ import annotations
@@ -34,21 +29,19 @@ from .orientation import (
     _pairing_orientations,
     _robbins_tails,
 )
-from .packings import _seven_cycle_packings
+from .packings import seven_cycle_packings
 from .structures import (
     CyclePacking,
     EMPTY_PACKING,
+    berge_fulkerson_cover,
     cycles_from_edge_set,
+    find_deletable_arc_on_circuit,
     is_circuit_in,
     is_matching,
     orient_cycle_as_circuit,
     paths_to_two_matchings,
     perfect_matching,
     proper_3_edge_coloring,
-    special_set,
-    _berge_fulkerson_cover,
-    _deletable_arc_on_circuit,
-    _special_set,
 )
 
 
@@ -121,20 +114,16 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking) -> Orientation:
 
     The quotient by the packing gets a well-balanced orientation, lifted by
     circuit orientations; edges that became quotient loops take the canonical
-    direction.  Deletability of the whole special set is verified before the
+    direction.  The special set (as in structures.special_set) is read off
+    the same quotient, and its deletability is verified before the
     orientation is returned; a failure here would contradict the construction
     and is treated as fatal.  Checks that g is 3-edge-connected
-    (PreconditionError otherwise); the pipelines check once at entry.
+    (PreconditionError otherwise).
     """
     _require_3ec(g)
-    return _orient_special_set_deletable(g, p, special_set(g, p))
-
-
-def _orient_special_set_deletable(g: Multigraph, p: CyclePacking,
-                                  special: FrozenSet[int]) -> Orientation:
-    """orient_special_set_deletable on a checked graph, given p's special set."""
     cr = g.contract(p.edge_ids)
     q = cr.graph
+    special = frozenset(q.edge_ids).difference(q._3cut_edges())
     tails: Dict[int, int] = {}
     for c in p.cycles:
         tails.update(orient_cycle_as_circuit(c, g))
@@ -160,8 +149,7 @@ def _matching_orientations(g: Multigraph, matchings: Sequence[FrozenSet[int]]
     """
     oriented = {}
     for mk in dict.fromkeys(matchings):
-        packing = cycles_from_edge_set(g, set(g.edge_ids) - mk)
-        oriented[mk] = _orient_special_set_deletable(g, packing, _special_set(g, packing))
+        oriented[mk] = orient_special_set_deletable(g, cycles_from_edge_set(g, set(g.edge_ids) - mk))
     cover: Dict[int, int] = {}
     for k, mk in enumerate(matchings):
         for e in mk:
@@ -189,8 +177,7 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking)
     connected exactly when the quotient's do.  The search raises
     SearchExhaustedError only when its node budget runs out above the edge
     limit.  Checks that g is essentially 4-edge-connected, that m is a
-    matching and that p avoids it (PreconditionError otherwise); the esse4
-    pipeline checks g once at entry.
+    matching and that p avoids it (PreconditionError otherwise).
     """
     if not g.is_essentially_4ec():
         raise PreconditionError("not essentially 4-edge-connected")
@@ -198,11 +185,6 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking)
         raise PreconditionError("the given edge set is not a matching")
     if m & p.edge_ids:
         raise PreconditionError("packing cycles must avoid the matching")
-    return _orient_matching_deletable(g, m, p)
-
-
-def _orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking) -> Orientation:
-    """orient_matching_deletable on a checked graph, matching and packing."""
     rest = g.delete_edges(m)
     blocks = [b for b in rest.maximal_2ec_subgraphs()]
     contract_set = set()
@@ -283,14 +265,13 @@ def _orient_blocks(g: Multigraph, rest: Multigraph, blocks: Sequence[FrozenSet[i
 def certify_upper7(g: Multigraph) -> PipelineReport:
     """At most seven verified orientations covering every edge as deletable.
 
-    Checks once that g is 3-edge-connected (PreconditionError otherwise).
+    Checks that g is 3-edge-connected (PreconditionError otherwise).
     """
     _require_3ec(g)
     if _is_cubic(g):
-        sp = _seven_cycle_packings(g)
+        sp = seven_cycle_packings(g)
         # the seven packings repeat: orient each distinct one once
-        oriented = {p: _orient_special_set_deletable(g, p, special)
-                    for p, special in dict.fromkeys(zip(sp.packings, sp.special_sets))}
+        oriented = {p: orient_special_set_deletable(g, p) for p in dict.fromkeys(sp.packings)}
         orientations = [oriented[p] for p in sp.packings]
         cover = dict(sp.witness)
         prov = tuple(f"special-set-packing-{k}" for k in range(7))
@@ -371,7 +352,7 @@ def _extension_wrapper(g: Multigraph, recurse, name: str, bound: int,
 def certify_color3(g: Multigraph) -> PipelineReport:
     """Three orientations, one per color class of a proper 3-edge-coloring.
 
-    Checks once that g is 3-edge-connected and cubic (PreconditionError
+    Checks that g is 3-edge-connected and cubic (PreconditionError
     otherwise); a cubic graph without a 3-edge-coloring raises
     NotThreeEdgeColorableError.
     """
@@ -395,7 +376,7 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
 
     Every 3-edge-cut meets each matching of a double cover exactly once, so
     each matching is deletable via its complementary cycle packing; any five
-    of the six matchings already cover every edge.  Checks once that g is
+    of the six matchings already cover every edge.  Checks that g is
     3-edge-connected and cubic (PreconditionError otherwise).
     """
     _require_3ec(g)
@@ -403,7 +384,7 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
         raise PreconditionError("not cubic")
     if node_budget <= 0:
         raise SearchExhaustedError("double-cover search budget exhausted")
-    found = _berge_fulkerson_cover(g, node_budget)
+    found = berge_fulkerson_cover(g, node_budget)
     if found.status == "indeterminate":
         raise SearchExhaustedError("double-cover search budget exhausted")
     if found.status == "no":
@@ -421,7 +402,7 @@ def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
 def certify_esse4(g: Multigraph) -> PipelineReport:
     """Three verified orientations for essentially 4-edge-connected graphs.
 
-    Checks once that g is essentially 4-edge-connected (PreconditionError
+    Checks that g is essentially 4-edge-connected (PreconditionError
     otherwise).
     """
     if not g.is_essentially_4ec():
@@ -446,14 +427,12 @@ def _esse4_cubic(g: Multigraph) -> PipelineReport:
     if m1 is None:  # pragma: no cover - guaranteed for cubic 2ec graphs
         raise InternalVerificationError("cubic 2-edge-connected graph without perfect matching")
     packing = cycles_from_edge_set(g, set(g.edge_ids) - m1)
-    d1 = _orient_matching_deletable(g, m1, packing)
-    chosen: List[int] = []
-    for c in packing.cycles:
-        chosen.append(_deletable_arc_on_circuit(d1, c))
+    d1 = orient_matching_deletable(g, m1, packing)
+    chosen = [find_deletable_arc_on_circuit(d1, c) for c in packing.cycles]
     path_edges = set(g.edge_ids) - m1 - set(chosen)
     m2, m3 = paths_to_two_matchings(g, path_edges)
-    d2 = _orient_matching_deletable(g, m2, EMPTY_PACKING)
-    d3 = _orient_matching_deletable(g, m3, EMPTY_PACKING)
+    d2 = orient_matching_deletable(g, m2, EMPTY_PACKING)
+    d3 = orient_matching_deletable(g, m3, EMPTY_PACKING)
     cover: Dict[int, int] = {}
     for e in m1:
         cover[e] = 0

@@ -5,7 +5,7 @@ by the certifying pipelines."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     UnknownEdgeError,
 )
 from .multigraph import Multigraph
-from .orientation import Orientation, _deletable_among, is_strongly_connected
+from .orientation import Orientation, _deletable_among
 
 
 # -- cycles and packings -----------------------------------------------------------
@@ -46,9 +46,11 @@ class Cycle:
 
 @dataclass(frozen=True)
 class CyclePacking:
-    """Vertex-disjoint cycles of a host graph."""
+    """Vertex-disjoint cycles of a host graph; edge_ids and vertex_set are their unions."""
 
     cycles: Tuple[Cycle, ...]
+    edge_ids: FrozenSet[int] = field(init=False, compare=False, repr=False)
+    vertex_set: FrozenSet[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen: Set[int] = set()
@@ -57,20 +59,8 @@ class CyclePacking:
             if overlap:
                 raise PreconditionError(f"packing cycles share vertices {sorted(overlap)}")
             seen |= c.vertex_set
-
-    @property
-    def edge_ids(self) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for c in self.cycles:
-            out |= c.edge_set
-        return frozenset(out)
-
-    @property
-    def vertex_set(self) -> FrozenSet[int]:
-        out: Set[int] = set()
-        for c in self.cycles:
-            out |= c.vertex_set
-        return frozenset(out)
+        object.__setattr__(self, "edge_ids", frozenset(e for c in self.cycles for e in c.edges))
+        object.__setattr__(self, "vertex_set", frozenset(seen))
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -241,9 +231,8 @@ def proper_3_edge_coloring(g: Multigraph) -> Optional[Tuple[FrozenSet[int], Froz
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; coloring needs a cubic graph")
     if any(g.is_loop(e) for e in g.edge_ids):
         return None
-    links = g._links()
     for m in _matching_search(g):
-        if not _even_cycles(links, m):
+        if not _even_cycles(g, m):
             continue
         rest = frozenset(g.edge_ids) - m
         cycles = cycles_from_edge_set(g, rest).cycles
@@ -252,12 +241,13 @@ def proper_3_edge_coloring(g: Multigraph) -> Optional[Tuple[FrozenSet[int], Froz
     return None
 
 
-def _even_cycles(links: Dict[int, List[Tuple[int, int]]], matching: FrozenSet[int]) -> bool:
-    """True when the edges outside a perfect matching of a loopless cubic graph form even cycles.
+def _even_cycles(g: Multigraph, matching: FrozenSet[int]) -> bool:
+    """True when the edges outside a perfect matching of a loopless cubic graph g form even cycles.
 
-    `links` is the graph's `_links()`, built once by the caller.  Walks each
-    cycle once, counting its edges; builds no cycle objects.
+    Walks each cycle once along g._links(), counting its edges; builds no
+    cycle objects.
     """
+    links = g._links()
     seen: Set[int] = set()
     for start, out in links.items():
         if start in seen:
@@ -291,19 +281,13 @@ def berge_fulkerson_cover(g: Multigraph, node_budget: int = 200_000) -> CoverSea
     Exact multi-cover search over the enumerated perfect matchings with a
     node budget; running out of budget is reported as indeterminate, never
     as a 'no'.  Checks that g is cubic and 2-edge-connected (PreconditionError
-    otherwise); the bf5 pipeline checks its input once at entry and runs the
-    search directly.
+    otherwise).
     """
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
     if g.num_vertices >= 2 and g._lambda_upto4() < 2:
         raise PreconditionError("double-cover search needs a 2-edge-connected graph")
-    return _berge_fulkerson_cover(g, node_budget)
-
-
-def _berge_fulkerson_cover(g: Multigraph, node_budget: int) -> CoverSearchResult:
-    """The double-cover search of berge_fulkerson_cover on an already checked graph."""
     matchings = enumerate_perfect_matchings(g)
     if not matchings:
         return CoverSearchResult("no")
@@ -536,19 +520,13 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
 
     An edge whose ends fall into one contracted class is a quotient loop and
     lies on no cut at all; every other edge is tested on the signatures of
-    the quotient, with no flow.  Checks that g is 3-edge-connected
-    (PreconditionError otherwise); the pipelines and seven_cycle_packings
-    check once at entry and compute special sets directly.
+    the quotient, which stays 3-edge-connected, with no flow.  Checks that
+    g is 3-edge-connected (PreconditionError otherwise).
     """
     if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("special sets are defined over 3-edge-connected graphs")
-    return _special_set(g, p)
-
-
-def _special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
-    """special_set on a 3-edge-connected graph, whose quotients stay 3-edge-connected."""
     q = g.contract(p.edge_ids).graph
-    return frozenset(q.edge_ids).difference(q._3cut_edges(q._signatures()[0]))
+    return frozenset(q.edge_ids).difference(q._3cut_edges())
 
 
 # -- cubic extensions --------------------------------------------------------------------
@@ -658,24 +636,18 @@ def find_deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
     closes, through a directed path and part of c, into a circuit that
     avoids some arc of c; contracting it keeps d strong and shortens c, down
     to a loop, whose arc every contracted circuit avoids.  Checks that d is
-    strongly connected, that its graph is 3-edge-connected and that c is a
-    circuit of d (NotStronglyConnectedError or PreconditionError otherwise);
-    the esse4 pipeline checks its input once at entry and runs the search
-    directly.
+    strongly connected (the same kernel call answers), that its graph is
+    3-edge-connected and that c is a circuit of d (NotStronglyConnectedError
+    or PreconditionError otherwise).
     """
     g = d.graph
-    if not is_strongly_connected(d):
+    found = _deletable_among(d, c.edges)
+    if found is None:
         raise NotStronglyConnectedError("circuit-arc search needs a strongly connected orientation")
     if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("circuit-arc search needs a 3-edge-connected host")
     if not is_circuit_in(d, c):
         raise PreconditionError("the given cycle is not a circuit of the orientation")
-    return _deletable_arc_on_circuit(d, c)
-
-
-def _deletable_arc_on_circuit(d: Orientation, c: Cycle) -> int:
-    """find_deletable_arc_on_circuit for a circuit c of a checked orientation d."""
-    found = _deletable_among(d, c.edges)
     if not found:  # pragma: no cover - guaranteed on a 3-edge-connected host
         raise InternalVerificationError("no arc of the circuit is deletable")
     return min(found)

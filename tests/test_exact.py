@@ -27,7 +27,7 @@ from orientcover.orientation import (
 )
 from orientcover.packings import seven_cycle_packings
 from orientcover.reduction import PAPER_EXAMPLE, build_gadget, parse_formula
-from orientcover.structures import _special_set
+from orientcover.structures import special_set
 
 from oracles import (
     brute_deletability,
@@ -607,7 +607,7 @@ def test_lambda_thresholds_run_no_max_flow(monkeypatch):
         assert frank_number_exact(g)[0] >= frank_lower_bound(g) == (1 if name == "k5" else 2)
         assert name == "k5" or g.edge_connectivity() == 3
     for g, p in packed:
-        _special_set(g, p)
+        special_set(g, p)
     assert calls == []
     assert graphs["k5"].edge_connectivity() == 4 and calls
 

@@ -6,7 +6,9 @@ loops live in tests/oracles.py), every private function or method is
 reached from the package outside its own body, and no expression compares
 edge_connectivity() with a constant in a way that min(lambda, 4) decides
 (every such question goes through the flow-free Multigraph._lambda_upto4 or
-is_3_edge_connected).  Standard library only (ast),
+is_3_edge_connected), and no module or class defines both a name and its
+_-prefixed twin (a public function checks its own precondition; there is no
+unchecked private copy of it).  Standard library only (ast),
 since no linter is part of the toolchain.  The package's __init__.py is
 exempt from the import check: its imports are the public re-exports.
 """
@@ -125,6 +127,33 @@ def test_checker_flags_a_dead_private_function():
     assert dead_private_functions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached"),
         ("a.py", 27, "leftover")]
+
+
+def twin_definitions(source: str):
+    """(line, name) of each _-prefixed function or class whose unprefixed name
+    is defined in the same scope (the module or one class body)."""
+    tree = ast.parse(source)
+    scopes = [tree.body] + [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    twins = []
+    for body in scopes:
+        defined = {node.name: node.lineno for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        twins += [(line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name[1:] in defined]
+    return sorted(twins)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_checked_and_unchecked_twins(path):
+    assert twin_definitions(path.read_text()) == []
+
+
+def test_checker_flags_a_twin_definition():
+    source = ("def f(g):\n    return _f(g)\n\ndef _f(g):\n    return g\n\n"
+              "def _h():\n    pass\n\n"
+              "class C:\n    def m(self):\n        pass\n\n    def _m(self):\n        pass\n\n"
+              "    def _f(self):\n        pass\n\n    def __init__(self):\n        pass\n")
+    assert twin_definitions(source) == [(4, "_f"), (14, "_m")]
 
 
 # The largest constant, per comparison, whose outcome min(lambda, 4) decides:

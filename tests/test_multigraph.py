@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import networkx as nx
@@ -255,6 +256,52 @@ def test_bridges_are_the_edges_whose_deletion_splits_a_component():
         expected = tuple(e for e in g.edge_ids if len(g.delete_edges([e]).connected_components()) > parts)
         assert g.bridges() == expected, g
     assert sum(bool(g.bridges()) for g in graphs) >= 30
+
+
+# -- derived structure, computed once per graph -----------------------------------------
+
+
+CACHED = ("_links", "_bfs_forest", "_signatures", "_low_lambda", "_lambda_upto4", "_flow_tree", "_3cuts")
+
+
+def cached_values(g, names):
+    """Each derived value by name; _lambda_upto4 only where it is defined (2 or more vertices)."""
+    return {name: getattr(g, name)() for name in names if name != "_lambda_upto4" or g.num_vertices >= 2}
+
+
+def test_derived_structure_is_kept_on_the_graph():
+    g = named_graph("prism3")
+    first = cached_values(g, CACHED)
+    assert set(g._memo) == set(CACHED)
+    for name, value in cached_values(g, CACHED).items():
+        assert value is first[name], name
+    for h in (g.contract([0]).graph, g.delete_edges([0]), g.subgraph_on_edges([0, 1, 2])):
+        assert h._memo == {}, h
+
+
+def test_cached_structure_cannot_be_changed():
+    g = named_graph("prism3")
+    via, comps = g._bfs_forest()
+    side, cut = g._3cuts()[0]
+    changes = [lambda: g._links()[0].append((99, 1)), lambda: operator.setitem(g._links(), 0, ()),
+               lambda: operator.setitem(g._flow_tree(), (0, 1), 9),
+               lambda: operator.setitem(g._signatures()[0], 0, 0), lambda: operator.setitem(via, 0, 1),
+               lambda: comps[0].append(7), lambda: side.add(7), lambda: cut.discard(0)]
+    for change in changes:
+        with pytest.raises((AttributeError, TypeError)):
+            change()
+
+
+def test_cached_values_match_a_fresh_equal_graph():
+    graphs = seeded_multigraphs(150, 23)
+    for g in graphs:
+        first = cached_values(g, CACHED)
+        fresh = Multigraph(g.vertices, {e: g.ends(e) for e in g.edge_ids})
+        assert fresh._memo == {}
+        assert cached_values(fresh, reversed(CACHED)) == first, g
+        assert cached_values(g, CACHED) == first, g
+    assert sum(any(g.is_loop(e) for e in g.edge_ids) for g in graphs) >= 30
+    assert sum(len(set(map(g.ends, g.edge_ids))) < g.num_edges for g in graphs) >= 30
 
 
 def complete_graph(n):

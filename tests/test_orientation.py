@@ -377,11 +377,11 @@ def test_balance_check_below_lambda_4_is_one_strength_test(monkeypatch):
     rng = random.Random(5)
     cases = []
     for g in random_cubic_graphs() + [named_graph("petersen"), named_graph("wheel5")]:
-        lam = g._flow_tree()
-        cases += [(g, lam, well_balanced_orientation(g), True)]
+        # well_balanced_orientation builds g's flow tree before the flows are counted
+        cases += [(g, well_balanced_orientation(g), True)]
         for _ in range(4):
             d = orientation_by_bits(g, [rng.randrange(2) for _ in g.edge_ids])
-            cases.append((g, lam, d, is_strongly_connected(d)))
+            cases.append((g, d, is_strongly_connected(d)))
     calls = []
     max_flow = _Network.max_flow
 
@@ -390,8 +390,8 @@ def test_balance_check_below_lambda_4_is_one_strength_test(monkeypatch):
         return max_flow(self, *args)
 
     monkeypatch.setattr(_Network, "max_flow", counted_flow)
-    for g, lam, d, expected in cases:
-        assert is_well_balanced(g, d, lam) == expected
+    for g, d, expected in cases:
+        assert is_well_balanced(g, d) == expected
     verdicts = [expected for *_, expected in cases]
     assert calls == [] and True in verdicts and False in verdicts
 

@@ -63,15 +63,15 @@ GP_LADDER = [(5, 2), (7, 2), (8, 3), (10, 3), (12, 5), (16, 3), (32, 3)]
 
 
 def test_recursion_quotients_are_cubic_and_3_edge_connected(monkeypatch):
-    # the recursive case skips the precondition check on its quotients
+    # the recursive case checks its quotients too; they must pass by construction
     seen = []
-    core = packings._seven_cycle_packings
+    core = packings.seven_cycle_packings
 
     def recording(g):
         seen.append(g)
         return core(g)
 
-    monkeypatch.setattr(packings, "_seven_cycle_packings", recording)
+    monkeypatch.setattr(packings, "seven_cycle_packings", recording)
     rng = random.Random(4091)
     graphs = [Multigraph.from_pairs(generalized_petersen_pairs(n, k)) for n, k in GP_LADDER]
     graphs += [Multigraph.from_pairs(random_cubic_3ec_pairs(rng, n, True)) for n in (8, 10, 12, 12)]

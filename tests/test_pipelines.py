@@ -1,10 +1,12 @@
+import functools
+
 import pytest
 
 from orientcover import packings, pipelines
 from orientcover.corpus import named_graph
 from orientcover.errors import NotThreeEdgeColorableError, PreconditionError, SearchExhaustedError
 from orientcover.exact import deletability_decide, verify_certificate
-from orientcover.multigraph import Multigraph
+from orientcover.multigraph import Multigraph, _cached
 from orientcover.orientation import deletable_arcs, is_deletable_set, is_strongly_connected
 from orientcover.pipelines import (
     certify_bf5,
@@ -304,32 +306,37 @@ def test_pipelines_are_deterministic():
 @pytest.mark.parametrize("pipeline", [certify_upper7, certify_color3, certify_bf5, certify_esse4],
                          ids=lambda f: f.__name__)
 def test_pipeline_checks_its_input_once(monkeypatch, pipeline):
-    # moebius_kantor is gp(8,3): cubic, 3-edge-colorable, essentially 4-edge-connected
+    # moebius_kantor is gp(8,3): cubic, 3-edge-colorable, essentially 4-edge-connected;
+    # every public step checks its precondition, and all but the first check read the
+    # signatures cached on the graph, so they are computed once and no flow runs
     g = named_graph("moebius_kantor")
-    calls = {"is_3_edge_connected": 0, "is_essentially_4ec": 0, "edge_connectivity": 0}
-    for method in calls:
-        original = getattr(Multigraph, method)
+    computed = {"_signatures": 0, "edge_connectivity": 0}
+    signatures = Multigraph._signatures.__wrapped__
+    edge_connectivity = Multigraph.edge_connectivity
 
-        def counted(self, original=original, method=method):
-            if self is g:
-                calls[method] += 1
-            return original(self)
+    @functools.wraps(signatures)
+    def counted_signatures(self):
+        computed["_signatures"] += self is g
+        return signatures(self)
 
-        monkeypatch.setattr(Multigraph, method, counted)
+    def counted_connectivity(self):
+        computed["edge_connectivity"] += self is g
+        return edge_connectivity(self)
+
+    monkeypatch.setattr(Multigraph, "_signatures", _cached(counted_signatures))
+    monkeypatch.setattr(Multigraph, "edge_connectivity", counted_connectivity)
     pipeline(g)
-    # certify_esse4 checks through is_essentially_4ec, which runs is_3_edge_connected once
-    expected_esse4 = 1 if pipeline is certify_esse4 else 0
-    assert calls == {"is_3_edge_connected": 1, "is_essentially_4ec": expected_esse4, "edge_connectivity": 0}
+    assert computed == {"_signatures": 1, "edge_connectivity": 0}
 
 
 def test_upper7_does_each_distinct_packing_once(monkeypatch):
     # the seven packings of gp(8,3) hold only 4 distinct ones
     g = named_graph("moebius_kantor")
-    calls = {"_special_set": [], "_orient_special_set_deletable": []}
-    for module, name in ((packings, "_special_set"), (pipelines, "_orient_special_set_deletable")):
-        def counted(graph, p, *rest, original=getattr(module, name), name=name):
+    calls = {"special_set": [], "orient_special_set_deletable": []}
+    for module, name in ((packings, "special_set"), (pipelines, "orient_special_set_deletable")):
+        def counted(graph, p, original=getattr(module, name), name=name):
             calls[name].append(p)
-            return original(graph, p, *rest)
+            return original(graph, p)
 
         monkeypatch.setattr(module, name, counted)
     rep = certify_upper7(g)

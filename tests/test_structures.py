@@ -147,11 +147,10 @@ def test_even_cycle_test_matches_the_cycles_of_the_complement():
             graphs.append(Multigraph.from_pairs(pairs))
     answers = set()
     for g in graphs:
-        links = g._links()
         for m in _matching_search(g):
             rest = frozenset(g.edge_ids) - m
             even = all(len(c.edges) % 2 == 0 for c in cycles_from_edge_set(g, rest).cycles)
-            assert _even_cycles(links, m) == even, (g, m)
+            assert _even_cycles(g, m) == even, (g, m)
             answers.add(even)
     assert answers == {True, False}
 
