@@ -23,7 +23,7 @@ def survey(limit_edges: int) -> None:
     for name in corpus_names():
         g = named_graph(name)
         lam = g.edge_connectivity()
-        esse4 = lam >= 3 and g.find_nontrivial_3cut() is None
+        esse4 = g.is_essentially_4ec()
         row = [f"{name:16}", f"{g.num_vertices:>3}", f"{g.num_edges:>3}", f"{lam:>3}",
                f"{str(esse4):>5}"]
         if lam >= 3 and g.num_edges <= limit_edges:

@@ -101,7 +101,7 @@ def _cmd_connectivity(args) -> int:
     g = _load_graph(args.graph)
     lam = g.edge_connectivity() if g.num_vertices >= 2 else 0
     cubic = all(g.degree(v) == 3 for v in g.vertices)
-    esse4 = lam >= 3 and g.find_nontrivial_3cut() is None  # is_essentially_4ec, reusing lam
+    esse4 = lam >= 3 and g.is_essentially_4ec()
     payload = {
         "vertices": g.num_vertices,
         "edges": g.num_edges,

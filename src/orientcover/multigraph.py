@@ -20,12 +20,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping,
 
 from .errors import UnknownEdgeError, UnknownVertexError
 
-# Edge fates under contraction.
-KEPT = "kept"
-BECAME_LOOP = "became-loop"
-CONTRACTED_AWAY = "contracted-away"
-
-
 def _cached(method: Callable) -> Callable:
     """A derived value of a graph, built on first use and kept in its _memo.
 
@@ -169,7 +163,7 @@ class Multigraph:
 
         Quotient vertex ids are the minimum of each merged class.  Surviving
         edges keep their ids; an edge whose ends were merged together is kept
-        as a loop and flagged BECAME_LOOP.
+        as a loop.
         """
         fset = set(f)
         for e in fset:
@@ -190,16 +184,9 @@ class Multigraph:
                 parent[max(ru, rv)] = min(ru, rv)  # the smaller id represents the class
         vertex_map = {v: find(v) for v in self._vertices}
         qvertices = set(vertex_map.values())
-        qedges: Dict[int, Tuple[int, int]] = {}
-        status: Dict[int, str] = {}
-        for e, (u, v) in self._edges.items():
-            if e in fset:
-                status[e] = CONTRACTED_AWAY
-                continue
-            qu, qv = vertex_map[u], vertex_map[v]
-            qedges[e] = (qu, qv)
-            status[e] = BECAME_LOOP if qu == qv and u != v else KEPT
-        return ContractionResult(Multigraph(qvertices, qedges), vertex_map, status)
+        qedges = {e: (vertex_map[u], vertex_map[v])
+                  for e, (u, v) in self._edges.items() if e not in fset}
+        return ContractionResult(Multigraph(qvertices, qedges), vertex_map)
 
     # -- cuts and connectivity ----------------------------------------------
 
@@ -485,11 +472,10 @@ class Multigraph:
 
 @dataclass(frozen=True)
 class ContractionResult:
-    """Quotient graph together with the vertex and edge bookkeeping."""
+    """Quotient graph together with the class representative of each vertex."""
 
     graph: Multigraph
     vertex_map: Dict[int, int]
-    edge_status: Dict[int, str]
 
 
 # -- flow kernel -------------------------------------------------------------

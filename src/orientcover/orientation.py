@@ -22,7 +22,7 @@ from .errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
-from .multigraph import ContractionResult, Multigraph, _Network
+from .multigraph import Multigraph, _Network
 
 
 class Orientation:
@@ -321,29 +321,6 @@ def directed_local_connectivity(d: Orientation, u: int, v: int) -> int:
     if u not in index or v not in index:
         raise UnknownVertexError(f"unknown vertex in pair ({u}, {v})")
     return net.max_flow((index[u],), (index[v],))[0]
-
-
-# -- contraction -----------------------------------------------------------------
-
-
-def orient_quotient(d: Orientation, cr: ContractionResult) -> Orientation:
-    """Orientation of the quotient cr.graph with inherited directions on surviving edges."""
-    tails = {}
-    for e in cr.graph.edge_ids:
-        if cr.graph.is_loop(e):
-            continue
-        tails[e] = cr.vertex_map[d.tail(e)]
-    return Orientation(cr.graph, tails)
-
-
-def lift_tail(cr: ContractionResult, original: Multigraph, e: int, quotient_tail: int) -> int:
-    """Original endpoint of e whose class representative is quotient_tail."""
-    u, v = original.ends(e)
-    if cr.vertex_map[u] == quotient_tail:
-        return u
-    if cr.vertex_map[v] == quotient_tail:
-        return v
-    raise UnknownVertexError(f"tail {quotient_tail} does not match edge {e}")
 
 
 # -- Eulerian orientations ---------------------------------------------------------

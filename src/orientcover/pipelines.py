@@ -3,8 +3,9 @@
 Each pipeline builds its orientations constructively, re-verifies the
 resulting certificate by direct deletion checks, and refuses to return
 anything unverified.  Non-cubic inputs are handled by splitting at cut
-vertices or single connecting edges and by cubic extensions contracted back
-after the cubic construction runs on the host.
+vertices or single connecting edges and by cubic extensions, whose host
+orientations map back through the extension's vertex classes; loops lie in
+no cut and are covered by the first orientation.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .multigraph import ContractionResult, Multigraph
 from .orientation import (
     Orientation,
     is_deletable_set,
-    lift_tail,
-    orient_quotient,
     well_balanced_orientation,
     _pairing_orientations,
     _robbins_tails,
@@ -94,15 +93,24 @@ def _is_cubic(g: Multigraph) -> bool:
 def _lift(g: Multigraph, cr: ContractionResult, qtails: Mapping[int, int]) -> Dict[int, int]:
     """Tails in g for the edges of cr's quotient, lifted from the quotient tails qtails.
 
-    An edge that became a quotient loop takes its smaller end; loops of g
-    take none.
+    Each edge takes the end of g whose class is its quotient tail; an edge
+    that became a quotient loop takes its smaller end, and loops of g take
+    none.
     """
     q = cr.graph
     tails: Dict[int, int] = {}
     for e in q.edge_ids:
         if g.is_loop(e):
             continue
-        tails[e] = min(g.ends(e)) if q.is_loop(e) else lift_tail(cr, g, e, qtails[e])
+        u, v = g.ends(e)
+        if q.is_loop(e):
+            tails[e] = min(u, v)
+        elif cr.vertex_map[u] == qtails[e]:
+            tails[e] = u
+        elif cr.vertex_map[v] == qtails[e]:
+            tails[e] = v
+        else:  # pragma: no cover - quotient tails are classes of the edge's ends
+            raise InternalVerificationError(f"quotient tail {qtails[e]} does not match edge {e}")
     return tails
 
 
@@ -278,7 +286,7 @@ def certify_upper7(g: Multigraph) -> PipelineReport:
         return _finish("seven", g, ("3-edge-connected", "cubic"), orientations, cover, prov, 7)
     cut_vertex = _find_cut_vertex(g)
     if cut_vertex is not None:
-        return _split_at_cut_vertex(g, cut_vertex, certify_upper7, "seven", 7)
+        return _split(g, cut_vertex, certify_upper7, "seven", 7)
     return _extension_wrapper(g, certify_upper7, "seven", 7, ("3-edge-connected",))
 
 
@@ -290,58 +298,80 @@ def _find_cut_vertex(g: Multigraph) -> Optional[int]:
     return None
 
 
-def _split_at_cut_vertex(g: Multigraph, v: int, recurse, name: str, bound: int) -> PipelineReport:
-    comps = g.delete_vertex(v).connected_components()
-    side1 = frozenset(comps[0] | {v})
-    side2 = frozenset(set(g.vertices) - comps[0])
+def _split(g: Multigraph, v: int, recurse, name: str, bound: int,
+           seam: Optional[int] = None) -> PipelineReport:
+    """Certify g from two quotients, one per side of the split at v, and merge them.
+
+    Without a seam, v is a cut vertex and one side is the first component of
+    g - v; with one, the seam edge is a bridge of the connected g - v and
+    the sides are its two components.  Each quotient contracts the other
+    side together with v and is certified by recurse; orientation j of g
+    lifts each part's orientation j (its first when it has fewer).  At a
+    seam, which both quotients keep, each part is first rotated so its first
+    orientation covers the seam, and a part whose lift points the seam the
+    other way is reversed, which keeps its deletable sets.  Loops of g lie
+    in no cut and are covered at index 0.
+    """
+    rest = g.delete_vertex(v)
+    if seam is None:
+        side = rest.connected_components()[0]
+        preconditions = ("3-edge-connected", f"cut vertex {v}")
+        step = f"merge-at-cut-vertex-{v}"
+    else:
+        side = next(c for c in rest.delete_edges([seam]).connected_components()
+                    if g.ends(seam)[0] in c)
+        preconditions = ("essentially 4-edge-connected", f"splitting vertex {v}")
+        step = f"merge-at-connecting-edge-{seam}"
     parts = []
-    for mine, theirs in ((side1, side2), (side2, side1)):
-        cr = g.contract(g.induced_edge_ids(theirs))
-        parts.append((cr, recurse(cr.graph)))
-    count = max(len(rep.certificate.orientations) for _, rep in parts)
+    for theirs in (set(rest.vertices) - side, side):
+        cr = g.contract(g.induced_edge_ids(theirs | {v}))
+        cert = recurse(cr.graph).certificate
+        ds, part_cover = list(cert.orientations), cert.cover
+        if seam is not None:
+            j0 = part_cover[seam]
+            ds[0], ds[j0] = ds[j0], ds[0]
+            part_cover = {e: j0 if k == 0 else 0 if k == j0 else k for e, k in part_cover.items()}
+        parts.append((cr, ds, part_cover))
+    count = max(len(ds) for _, ds, _ in parts)
     orientations = []
     for j in range(count):
         tails: Dict[int, int] = {}
-        for cr, rep in parts:
-            tails.update(_lift(g, cr, _pick(rep, j).tails))
+        for cr, ds, _ in parts:
+            lifted = _lift(g, cr, ds[j if j < len(ds) else 0].tails)
+            if seam is not None and tails and tails[seam] != lifted[seam]:
+                lifted = {e: g.other_end(e, t) for e, t in lifted.items()}
+            tails.update(lifted)
         orientations.append(Orientation(g, tails))
-    cover: Dict[int, int] = {}
-    for cr, rep in parts:
-        for e in cr.graph.edge_ids:
-            cover[e] = rep.certificate.cover[e]
-    prov = tuple(f"merge-at-cut-vertex-{v}" for _ in range(count))
-    return _finish(name, g, ("3-edge-connected", f"cut vertex {v}"), orientations, cover, prov, bound)
-
-
-def _pick(rep: PipelineReport, j: int) -> Orientation:
-    ds = rep.certificate.orientations
-    return ds[j] if j < len(ds) else ds[0]
+    cover = {e: 0 for e in g.edge_ids if g.is_loop(e)}
+    for cr, _, part_cover in parts:
+        cover.update((e, part_cover[e]) for e in cr.graph.edge_ids if not g.is_loop(e))
+    return _finish(name, g, preconditions, orientations, cover, (step,) * count, bound)
 
 
 def _extension_wrapper(g: Multigraph, recurse, name: str, bound: int,
                        preconditions: Tuple[str, ...]) -> PipelineReport:
+    """Certify g through the cubic extension of g minus its loops.
+
+    Each host orientation maps its tails back to g through the extension's
+    vertex classes; loops of g lie in no cut and are covered at index 0.
+    """
     from .structures import cubic_extension
 
-    ext = cubic_extension(g)
+    loops = [e for e in g.edge_ids if g.is_loop(e)]
+    ext = cubic_extension(g.delete_edges(loops))
     host_rep = recurse(ext.host)
-    cr = ext.host.contract(ext.all_cycle_edges)
-    back = {}
-    for v, members in ext.classes.items():
-        back[cr.vertex_map[members[0]]] = v
+    back = {w: v for v, members in ext.classes.items() for w in members}
     orientations = []
     for dh in host_rep.certificate.orientations:
-        dq = orient_quotient(dh, cr)
         tails = {}
         for e in g.edge_ids:
             if g.is_loop(e):
                 continue
-            qt = dq.tail(e)
-            candidate = back[qt]
-            if candidate not in g.ends(e):  # pragma: no cover - classes partition hosts
+            tails[e] = back[dh.tail(e)]
+            if tails[e] not in g.ends(e):  # pragma: no cover - classes partition hosts
                 raise InternalVerificationError(f"lifted tail mismatch on edge {e}")
-            tails[e] = candidate
         orientations.append(Orientation(g, tails))
-    cover = {e: host_rep.certificate.cover[e] for e in g.edge_ids}
+    cover = {e: 0 if g.is_loop(e) else host_rep.certificate.cover[e] for e in g.edge_ids}
     prov = tuple(f"cubic-extension:{p}" for p in host_rep.provenance)
     return _finish(name, g, preconditions + ("cubic extension",), orientations, cover, prov, bound)
 
@@ -414,10 +444,10 @@ def certify_esse4(g: Multigraph) -> PipelineReport:
         if rest.num_vertices == 0:
             continue
         if not rest.is_connected():
-            return _split_at_cut_vertex(g, v, certify_esse4, "esse4", 3)
+            return _split(g, v, certify_esse4, "esse4", 3)
         bridges = rest.bridges()
         if bridges:
-            return _split_at_bridge(g, v, bridges[0])
+            return _split(g, v, certify_esse4, "esse4", 3, seam=bridges[0])
     return _extension_wrapper(g, certify_esse4, "esse4", 3,
                               ("essentially 4-edge-connected",))
 
@@ -445,45 +475,3 @@ def _esse4_cubic(g: Multigraph) -> PipelineReport:
     prov = ("matching-orientation", "path-matching-orientation", "path-matching-orientation")
     return _finish("esse4", g, ("essentially 4-edge-connected", "cubic"),
                    [d1, d2, d3], cover, prov, 3)
-
-
-def _split_at_bridge(g: Multigraph, v: int, e0: int) -> PipelineReport:
-    """Split where g - v falls apart at a single edge, align it, and merge."""
-    rest = g.delete_vertex(v)
-    comps = rest.delete_edges([e0]).connected_components()
-    u1, u2 = g.ends(e0)
-    a1 = next(c for c in comps if u1 in c)
-    a2 = next(c for c in comps if u2 in c)
-    if a1 == a2:  # pragma: no cover - e0 is a bridge of g - v
-        raise InternalVerificationError("bridge sides coincide")
-    parts = []
-    for mine, theirs in ((a1, a2), (a2, a1)):
-        cr = g.contract(g.induced_edge_ids(set(theirs) | {v}))
-        rep = certify_esse4(cr.graph)
-        # rotate so the orientation where the connecting edge is deletable sits first
-        j0 = rep.certificate.cover[e0]
-        perm = list(range(len(rep.certificate.orientations)))
-        perm[0], perm[j0] = perm[j0], perm[0]
-        ds = [rep.certificate.orientations[k] for k in perm]
-        remap = {old: new for new, old in enumerate(perm)}
-        cov = {e: remap[i] for e, i in rep.certificate.cover.items()}
-        parts.append((cr, ds, cov))
-    count = max(len(ds) for _, ds, _ in parts)
-    orientations = []
-    for j in range(count):
-        first, second = [_lift(g, cr, (ds[j] if j < len(ds) else ds[0]).tails)
-                         for cr, ds, _ in parts]
-        if first[e0] != second[e0]:
-            # reversing one side preserves its deletable set and fixes the seam
-            second = {e: g.other_end(e, t) for e, t in second.items()}
-        merged = dict(second)
-        merged.update(first)
-        orientations.append(Orientation(g, merged))
-    cover: Dict[int, int] = {e0: 0}
-    for cr, _, cov in parts:
-        for e in cr.graph.edge_ids:
-            if e != e0:
-                cover[e] = cov[e]
-    prov = tuple(f"merge-at-connecting-edge-{e0}" for _ in range(count))
-    return _finish("esse4", g, ("essentially 4-edge-connected", f"splitting vertex {v}"),
-                   orientations, cover, prov, 3)

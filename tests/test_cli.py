@@ -72,6 +72,17 @@ def test_frank_pipeline_and_verify(tmp_path, capsys):
     assert code == 0 and "certificate verified" in out
 
 
+def test_frank_pipeline_covers_a_loop_at_a_cut_vertex(tmp_path, capsys):
+    # two K4s sharing vertex 0, with the loop 0 0
+    edge_list = tmp_path / "double_k4_loop.txt"
+    edge_list.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 4\n0 5\n0 6\n4 5\n4 6\n5 6\n0 0\n")
+    cert = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "frank", "--pipeline", "seven", str(edge_list), "--out", str(cert))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", str(cert))
+    assert code == 0 and "certificate verified" in out
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "frank", "--pipeline", "color3", "corpus:k4", "--out", str(cert))

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "orientcover"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orientcover"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -127,6 +128,68 @@ def test_checker_flags_a_dead_private_function():
     assert dead_private_functions(sources) == [
         ("a.py", 4, "_dead"), ("a.py", 7, "_self_only"), ("a.py", 17, "_unreached"),
         ("a.py", 27, "leftover")]
+
+
+def unreferenced_public_functions(package, others):
+    """(file, line, qualified name) of each public function, method or
+    property in `package` (file name -> text) that no code in `package` or
+    `others` names outside its own body and that package's __init__.py does
+    not import."""
+    trees = {name: ast.parse(text) for name, text in {**package, **others}.items()}
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    total = {}
+    for tree in trees.values():
+        for name in names(tree):
+            total[name] = total.get(name, 0) + 1
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unreferenced = []
+    for file in sorted(package):
+        tree = trees[file]
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_") and node.name not in exported
+                    and total.get(node.name, 0) == names(node).count(node.name)):
+                qualified = f"{owner[id(node)]}.{node.name}" if id(node) in owner else node.name
+                unreferenced.append((file, node.lineno, qualified))
+    return unreferenced
+
+
+# Public names that only the tests call.
+TEST_ONLY = {
+    "Orientation.reverse", "Cycle.edge_set", "Multigraph.local_edge_connectivity",
+    "directed_local_connectivity", "eulerian_orientation",
+    "to_edge_list", "to_graph6", "fano_formula",
+}
+
+
+def test_every_public_function_is_reached_or_exported():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    scripts = {p.name: p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))}
+    found = unreferenced_public_functions(package, scripts)
+    assert {name for _, _, name in found} == TEST_ONLY
+
+
+def test_checker_flags_an_unreferenced_public_function():
+    package = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    pass\n\n"
+                 "def used():\n    return helper()\n\n"
+                 "def helper():\n    pass\n\n"
+                 "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n"
+                 "def from_script():\n    pass\n\n"
+                 "class C:\n    @property\n    def size(self):\n        return 0\n\n"
+                 "    def kept(self):\n        return self.size\n\n"
+                 "    def __len__(self):\n        return 0\n"),
+    }
+    scripts = {"s.py": "from orientcover.a import from_script\nfrom_script()\n"}
+    assert unreferenced_public_functions(package, scripts) == [
+        ("a.py", 4, "used"), ("a.py", 10, "recursive"), ("a.py", 21, "C.kept")]
 
 
 def twin_definitions(source: str):

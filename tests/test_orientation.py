@@ -23,12 +23,16 @@ from orientcover.orientation import (
     is_k_arc_connected,
     is_strongly_connected,
     is_well_balanced,
-    orient_quotient,
     orientation_from_json,
     well_balanced_orientation,
 )
 
-from oracles import brute_deletable_arcs, closure_strongly_connected, random_cubic_3ec_pairs
+from oracles import (
+    brute_deletable_arcs,
+    closure_strongly_connected,
+    orient_quotient,
+    random_cubic_3ec_pairs,
+)
 
 
 def circuit(n):

@@ -1,11 +1,17 @@
 import functools
+import random
 
 import pytest
 
 from orientcover import packings, pipelines
-from orientcover.corpus import named_graph
+from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import NotThreeEdgeColorableError, PreconditionError, SearchExhaustedError
-from orientcover.exact import deletability_decide, verify_certificate
+from orientcover.exact import (
+    deletability_decide,
+    frank_lower_bound,
+    frank_number_exact,
+    verify_certificate,
+)
 from orientcover.multigraph import Multigraph, _cached
 from orientcover.orientation import deletable_arcs, is_deletable_set, is_strongly_connected
 from orientcover.pipelines import (
@@ -343,3 +349,96 @@ def test_upper7_does_each_distinct_packing_once(monkeypatch):
     assert len(rep.certificate.orientations) == 7
     for name, packs in calls.items():
         assert len(packs) == len(set(packs)) == 4, name
+
+
+# -- loops and the non-cubic wrappers ----------------------------------------------------
+
+
+def with_loops(g, at):
+    """g plus one loop at each vertex of `at`, numbered after g's edges."""
+    edges = {e: g.ends(e) for e in g.edge_ids}
+    first = max(g.edge_ids) + 1
+    edges.update((first + i, (v, v)) for i, v in enumerate(at))
+    return Multigraph(g.vertices, edges)
+
+
+SMALL_CORPUS = [name for name in corpus_names() if named_graph(name).num_vertices <= 12]
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_upper7_covers_a_loop_at_every_vertex(name):
+    g = named_graph(name)
+    g = with_loops(g, sorted(g.vertices))
+    assert_report_ok(g, certify_upper7(g), 7)
+
+
+@pytest.mark.parametrize("name", SMALL_CORPUS)
+def test_esse4_covers_a_loop_at_every_vertex_or_refuses(name):
+    g = named_graph(name)
+    g = with_loops(g, sorted(g.vertices))
+    if g.is_essentially_4ec():
+        assert_report_ok(g, certify_esse4(g), 3)
+    else:
+        with pytest.raises(PreconditionError):
+            certify_esse4(g)
+
+
+@pytest.mark.parametrize("name, pipeline, bound, step", [
+    ("k5", certify_upper7, 7, "cubic-extension:"),
+    ("double_k4", certify_upper7, 7, "merge-at-cut-vertex-0"),
+    ("hub_triangles", certify_esse4, 3, "merge-at-connecting-edge-12"),
+])
+def test_a_loop_at_vertex_0_is_covered_first(name, pipeline, bound, step):
+    # the extension host and both split quotients leave the loop out
+    g = with_loops(named_graph(name), [0])
+    loop = g.num_edges - 1
+    report = pipeline(g)
+    assert_report_ok(g, report, bound)
+    assert report.certificate.cover[loop] == 0
+    assert all(p.startswith(step) for p in report.provenance)
+
+
+def random_noncubic_3ec(rng, draws):
+    """(draw index, graph) for each 3-edge-connected non-cubic draw.
+
+    Each draw takes 2-8 vertices of degree 3-6 (vertex 0 gets one more when
+    the sum is odd) and pairs shuffled stubs as in the configuration model,
+    so loops and parallel edges stay.
+    """
+    for k in range(draws):
+        n = rng.randint(2, 8)
+        degrees = [rng.choice((3, 4, 5, 6)) for _ in range(n)]
+        degrees[0] += sum(degrees) % 2
+        stubs = [v for v in range(n) for _ in range(degrees[v])]
+        rng.shuffle(stubs)
+        g = Multigraph.from_pairs(list(zip(stubs[::2], stubs[1::2])))
+        if g.is_3_edge_connected() and any(g.degree(v) != 3 for v in g.vertices):
+            yield k, g
+
+
+# (draw, pipeline) pairs whose search runs out of nodes.  None does in this
+# sample; one that starts to must be named here, not dropped.
+EXHAUSTED_DRAWS = frozenset()
+
+
+def test_noncubic_certificates_sit_between_the_exact_value_and_the_bound():
+    kept, looped, exhausted = 0, 0, set()
+    for k, g in random_noncubic_3ec(random.Random(1), 100):
+        kept += 1
+        looped += any(g.is_loop(e) for e in g.edge_ids)
+        lower = frank_lower_bound(g)
+        exact = frank_number_exact(g)[0] if g.num_edges <= 22 else lower
+        for pipeline, bound in ((certify_upper7, 7), (certify_esse4, 3)):
+            if pipeline is certify_esse4 and not g.is_essentially_4ec():
+                with pytest.raises(PreconditionError):
+                    certify_esse4(g)
+                continue
+            try:
+                report = pipeline(g)
+            except SearchExhaustedError:
+                exhausted.add((k, pipeline.__name__))
+                continue
+            assert_report_ok(g, report, bound)
+            assert lower <= exact <= len(report.certificate.orientations), k
+    assert (kept, looped) == (52, 39)
+    assert exhausted == EXHAUSTED_DRAWS
