@@ -350,15 +350,14 @@ def _split(g: Multigraph, v: int, recurse, name: str, bound: int,
 
 def _extension_wrapper(g: Multigraph, recurse, name: str, bound: int,
                        preconditions: Tuple[str, ...]) -> PipelineReport:
-    """Certify g through the cubic extension of g minus its loops.
+    """Certify g through its cubic extension, which leaves out the loops of g.
 
     Each host orientation maps its tails back to g through the extension's
     vertex classes; loops of g lie in no cut and are covered at index 0.
     """
     from .structures import cubic_extension
 
-    loops = [e for e in g.edge_ids if g.is_loop(e)]
-    ext = cubic_extension(g.delete_edges(loops))
+    ext = cubic_extension(g)
     host_rep = recurse(ext.host)
     back = {w: v for v, members in ext.classes.items() for w in members}
     orientations = []

@@ -551,35 +551,28 @@ class CubicExtension:
 def cubic_extension(g: Multigraph) -> CubicExtension:
     """Expand high-degree vertices into cycles, keeping original edge ids.
 
-    Incident edges attach to the class vertices in sorted (edge id, end)
-    order around the expansion cycle, so the construction is reproducible.
-    Contracting the expansion cycles recovers the original graph.
+    Loops of g lie in no cut and get no host edge; a vertex's degree counts
+    its non-loop edges only.  Incident edges attach to the class vertices in
+    sorted edge-id order around the expansion cycle, so the construction is
+    reproducible.  Contracting the expansion cycles recovers g minus its loops.
     """
-    for v in g.vertices:
-        if g.degree(v) < 3:
-            raise PreconditionError(f"vertex {v} has degree {g.degree(v)} < 3")
+    nonloop = {v: [e for e in g.incident_edges(v) if not g.is_loop(e)] for v in g.vertices}
+    for v, half in nonloop.items():
+        if len(half) < 3:
+            raise PreconditionError(f"vertex {v} has degree {len(half)} < 3")
     next_vertex = max(g.vertices) + 1
     next_edge = max(g.edge_ids, default=-1) + 1
     classes: Dict[int, Tuple[int, ...]] = {}
     cycle_edges: Dict[int, Tuple[int, ...]] = {}
-    attach: Dict[Tuple[int, int], int] = {}  # (edge, end index at that vertex) -> host vertex
+    attach: Dict[Tuple[int, int], int] = {}  # (vertex, edge) -> host vertex
     host_edges: Dict[int, Tuple[int, int]] = {}
 
-    for v in g.vertices:
-        half: List[Tuple[int, int]] = []
-        for e in g.incident_edges(v):
-            a, b = g.ends(e)
-            if a == b:
-                half.append((e, 0))
-                half.append((e, 1))
-            else:
-                half.append((e, 0))
-        half.sort()
+    for v, half in nonloop.items():
         d = len(half)
         if d == 3:
             classes[v] = (v,)
-            for h in half:
-                attach[(v, *h)] = v
+            for e in half:
+                attach[(v, e)] = v
             continue
         members = tuple(range(next_vertex, next_vertex + d))
         next_vertex += d
@@ -590,15 +583,13 @@ def cubic_extension(g: Multigraph) -> CubicExtension:
             ring.append(next_edge)
             next_edge += 1
         cycle_edges[v] = tuple(ring)
-        for k, h in enumerate(half):
-            attach[(v, *h)] = members[k]
+        for k, e in enumerate(half):
+            attach[(v, e)] = members[k]
 
     for e in g.edge_ids:
         u, v = g.ends(e)
-        if u == v:
-            host_edges[e] = (attach[(u, e, 0)], attach[(u, e, 1)])
-        else:
-            host_edges[e] = (attach[(u, e, 0)], attach[(v, e, 0)])
+        if u != v:
+            host_edges[e] = (attach[(u, e)], attach[(v, e)])
 
     vertices = {w for ws in classes.values() for w in ws}
     host = Multigraph(vertices, host_edges)
@@ -612,13 +603,14 @@ def cubic_extension(g: Multigraph) -> CubicExtension:
 
 def _check_extension_recovers(g: Multigraph, ext: CubicExtension) -> None:
     cr = ext.host.contract(ext.all_cycle_edges)
-    if set(cr.graph.edge_ids) != set(g.edge_ids):
+    nonloops = {e for e in g.edge_ids if not g.is_loop(e)}
+    if set(cr.graph.edge_ids) != nonloops:
         raise InternalVerificationError("extension does not recover the original edge set")
     back = {}
     for v, members in ext.classes.items():
         for w in members:
             back[cr.vertex_map[w]] = v
-    for e in g.edge_ids:
+    for e in nonloops:
         qu, qv = cr.graph.ends(e)
         if {back[qu], back[qv]} != set(g.ends(e)):
             raise InternalVerificationError(f"extension misroutes edge {e}")

@@ -545,13 +545,3 @@ def ref_nontrivial_3cut(vertices: Sequence[int],
     if found is None or u == u0:
         return found
     return next(filter(None, (around(*ends[e]) for e in nonloops[1:])))
-
-
-def orient_quotient(d, cr):
-    """The orientation d carried to the quotient cr.graph of a contraction.
-
-    Each non-loop quotient edge takes the class of its tail in d; built with
-    d's own class, so nothing is imported from the package.
-    """
-    q = cr.graph
-    return type(d)(q, {e: cr.vertex_map[d.tail(e)] for e in q.edge_ids if not q.is_loop(e)})

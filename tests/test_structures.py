@@ -437,6 +437,17 @@ def test_cubic_extension_rejects_low_degree():
         cubic_extension(Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)]))
 
 
+def test_cubic_extension_leaves_out_loops():
+    k5 = named_graph("k5")
+    g = Multigraph(k5.vertices, {**{e: k5.ends(e) for e in k5.edge_ids},
+                                 **{100 + v: (v, v) for v in k5.vertices}})
+    host = cubic_extension(g).host
+    assert host.num_edges == 30 and not any(100 + v in host.edge_ids for v in g.vertices)
+    assert host.edge_connectivity() == 3
+    with pytest.raises(PreconditionError):  # degree 4, but only two non-loop ends at 0
+        cubic_extension(Multigraph({0, 1, 2}, {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (0, 0)}))
+
+
 def test_cubic_extension_3ec_preserved_on_corpus():
     for name in ("k5", "wheel4", "wheel5", "hub_triangles"):
         g = named_graph(name)
