@@ -500,11 +500,13 @@ def _automorphisms(kern: _Kernel) -> List[List[int]]:
 
 
 def frank_lower_bound(g: Multigraph) -> int:
-    """2 when a 3-edge-cut exists, else 1; input must be 3-edge-connected."""
-    lam = g._lambda_upto4()
-    if lam < 3:
+    """2 when a 3-edge-cut exists, else 1.
+
+    Checks that g is 3-edge-connected (PreconditionError otherwise).
+    """
+    if not g.is_3_edge_connected():
         raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
-    return 2 if lam == 3 else 1
+    return 2 if g._lambda_upto4() == 3 else 1
 
 
 def frank_number_exact(
@@ -532,15 +534,13 @@ def frank_number_exact(
     certificate, stopping at the first cover of 3 sets.  The edge limit
     bounds every search.
     """
-    lam = g._lambda_upto4() if g.num_vertices >= 2 else 0
-    if lam < 3:
-        raise PreconditionError("Frank numbers are defined for 3-edge-connected graphs")
+    lower = frank_lower_bound(g)
     kern = _Kernel(g)
     if kern.m > limits.max_enumerable_edges:
         raise GraphTooLargeError(
             f"{kern.m} edges exceeds the enumeration limit {limits.max_enumerable_edges}")
     universe = (1 << kern.m) - 1
-    if lam >= 4:
+    if lower == 1:
         status, omask, _ = _decide(kern, universe, None)
         if status is not Status.FOUND:
             raise InternalVerificationError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import UnknownEdgeError, UnknownVertexError
 
@@ -258,17 +258,10 @@ class Multigraph:
         """Size of a minimum edge cut; 0 for disconnected graphs.
 
         Values up to 3 are those of _lambda_upto4, with no flow.  Above 3,
-        n - 1 flows from the smallest vertex on one network, each stopped at
-        the smallest value found so far.
+        the least weight on the flow-equivalent tree of _flow_tree.
         """
         low = self._lambda_upto4()
-        if low < 4:
-            return low
-        _, net = self._network()
-        best = None
-        for v in range(1, self.num_vertices):
-            best = net.max_flow((0,), (v,), best)[0]
-        return best
+        return low if low < 4 else min(self._flow_tree().values())
 
     @_cached
     def _flow_tree(self) -> Mapping[Tuple[int, int], int]:
@@ -341,30 +334,28 @@ class Multigraph:
 
     @_cached
     def _lambda_upto4(self) -> int:
-        """min(lambda, 4) with no flow: _low_lambda, then 3 when some edge is on a 3-edge cut."""
+        """min(lambda, 4) with no flow: _low_lambda, then 3 when a 3-edge cut exists.
+
+        A vertex with three non-loop edges shows one at once; otherwise the
+        cut is one of _3cuts.
+        """
         if self.num_vertices < 2:
             raise UnknownVertexError("edge connectivity needs at least 2 vertices")
         low = self._low_lambda()
-        return low if low < 3 else 3 if next(self._3cut_edges(), None) is not None else 4
+        if low < 3:
+            return low
+        return 3 if any(len(out) == 3 for out in self._links().values()) or self._3cuts() else 4
 
-    def _3cut_edges(self) -> Iterator[int]:
-        """Each non-loop edge on a 3-edge cut once, from the signatures of a 3-edge-connected graph.
+    def _3cut_edges(self) -> FrozenSet[int]:
+        """The non-loop edges on some 3-edge cut of a 3-edge-connected graph.
 
-        The stars of vertices with three non-loop edges come first, with no
-        search.  Then each other edge e is on one when some sig(e) ^ sig(f)
-        is the signature of an edge h: the signatures are nonzero and
-        distinct, so e, f and h are three edges whose signatures XOR to 0.
+        Deleting such a cut leaves exactly two components, since each one
+        holds at least three of the cut's six edge ends.  So the cut is the
+        star of a vertex with three non-loop edges or one of _3cuts; the
+        3-edge cuts are laminar (lambda is odd), so _3cuts holds O(n) cuts.
         """
-        sig = self._signatures()[0]
-        found: Set[int] = set()
-        by_sig = {s: e for e, s in sig.items()}
-        stars = ([e for e, _ in out] for out in self._links().values() if len(out) == 3)
-        scans = (next(([e, f, by_sig[s ^ t]] for f, t in sig.items() if s ^ t in by_sig), ())
-                 for e, s in sig.items() if e not in found)
-        for k in (k for cuts in (stars, scans) for cut in cuts for k in cut):
-            if k not in found:
-                found.add(k)
-                yield k
+        stars = frozenset(e for out in self._links().values() if len(out) == 3 for e, _ in out)
+        return stars.union(*(cut for _, cut in self._3cuts()))
 
     @_cached
     def _3cuts(self) -> Tuple[Tuple[FrozenSet[int], FrozenSet[int]], ...]:
@@ -406,11 +397,10 @@ class Multigraph:
     def is_essentially_4ec(self) -> bool:
         """3-edge-connected with every 3-edge-cut isolating a single vertex.
 
-        Graphs of fewer than 2 vertices qualify.  Otherwise the signature pass
-        tests 3-edge-connectivity and _3cuts lists the nontrivial 3-cuts; no
-        flow is run.
+        The signature pass tests 3-edge-connectivity (so at least 2 vertices)
+        and _3cuts lists the nontrivial 3-cuts; no flow is run.
         """
-        return self.num_vertices < 2 or (self.is_3_edge_connected() and not self._3cuts())
+        return self.is_3_edge_connected() and not self._3cuts()
 
     def find_nontrivial_3cut(self) -> Optional[Tuple[FrozenSet[int], FrozenSet[int]]]:
         """One (side, cut edge ids) with d(side) = 3 and both sides >= 2 vertices.

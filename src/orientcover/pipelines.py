@@ -284,18 +284,25 @@ def certify_upper7(g: Multigraph) -> PipelineReport:
         cover = dict(sp.witness)
         prov = tuple(f"special-set-packing-{k}" for k in range(7))
         return _finish("seven", g, ("3-edge-connected", "cubic"), orientations, cover, prov, 7)
-    cut_vertex = _find_cut_vertex(g)
-    if cut_vertex is not None:
-        return _split(g, cut_vertex, certify_upper7, "seven", 7)
-    return _extension_wrapper(g, certify_upper7, "seven", 7, ("3-edge-connected",))
+    return _reduce(g, certify_upper7, "seven", 7, ("3-edge-connected",), seams=False)
 
 
-def _find_cut_vertex(g: Multigraph) -> Optional[int]:
+def _reduce(g: Multigraph, recurse, name: str, bound: int,
+            preconditions: Tuple[str, ...], seams: bool) -> PipelineReport:
+    """Certify the non-cubic g by a split or through its cubic extension.
+
+    The split is at the first vertex v whose deletion disconnects g or, with
+    seams, leaves a bridge, the first of which is the seam; with no such
+    vertex the extension wrapper runs, under the given preconditions.
+    """
     for v in g.vertices:
         rest = g.delete_vertex(v)
-        if rest.num_vertices and not rest.is_connected():
-            return v
-    return None
+        if not rest.is_connected():
+            return _split(g, v, recurse, name, bound)
+        bridges = rest.bridges() if seams else ()
+        if bridges:
+            return _split(g, v, recurse, name, bound, seam=bridges[0])
+    return _extension_wrapper(g, recurse, name, bound, preconditions)
 
 
 def _split(g: Multigraph, v: int, recurse, name: str, bound: int,
@@ -400,20 +407,22 @@ def certify_color3(g: Multigraph) -> PipelineReport:
 # -- pipeline: double covers -------------------------------------------------------------
 
 
-def certify_bf5(g: Multigraph, node_budget: int = 200_000) -> PipelineReport:
+_BF5_NODES = 200_000  # node budget of the double-cover search
+
+
+def certify_bf5(g: Multigraph) -> PipelineReport:
     """Five orientations from the first five matchings of a double cover.
 
     Every 3-edge-cut meets each matching of a double cover exactly once, so
     each matching is deletable via its complementary cycle packing; any five
     of the six matchings already cover every edge.  Checks that g is
-    3-edge-connected and cubic (PreconditionError otherwise).
+    3-edge-connected and cubic (PreconditionError otherwise); a search that
+    runs out of its _BF5_NODES nodes raises SearchExhaustedError.
     """
     _require_3ec(g)
     if not _is_cubic(g):
         raise PreconditionError("not cubic")
-    if node_budget <= 0:
-        raise SearchExhaustedError("double-cover search budget exhausted")
-    found = berge_fulkerson_cover(g, node_budget)
+    found = berge_fulkerson_cover(g, _BF5_NODES)
     if found.status == "indeterminate":
         raise SearchExhaustedError("double-cover search budget exhausted")
     if found.status == "no":
@@ -438,17 +447,7 @@ def certify_esse4(g: Multigraph) -> PipelineReport:
         raise PreconditionError("not essentially 4-edge-connected")
     if _is_cubic(g):
         return _esse4_cubic(g)
-    for v in g.vertices:
-        rest = g.delete_vertex(v)
-        if rest.num_vertices == 0:
-            continue
-        if not rest.is_connected():
-            return _split(g, v, certify_esse4, "esse4", 3)
-        bridges = rest.bridges()
-        if bridges:
-            return _split(g, v, certify_esse4, "esse4", 3, seam=bridges[0])
-    return _extension_wrapper(g, certify_esse4, "esse4", 3,
-                              ("essentially 4-edge-connected",))
+    return _reduce(g, certify_esse4, "esse4", 3, ("essentially 4-edge-connected",), seams=True)
 
 
 def _esse4_cubic(g: Multigraph) -> PipelineReport:

@@ -103,6 +103,14 @@ def test_lower_bound_values():
         frank_lower_bound(Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)]))
 
 
+def test_one_vertex_graphs_are_refused_as_not_3_edge_connected():
+    for loops in range(4):
+        g = Multigraph.from_pairs([(0, 0)] * loops, extra_vertices=[0])
+        for bound in (frank_lower_bound, frank_number_exact):
+            with pytest.raises(PreconditionError, match="3-edge-connected"):
+                bound(g)
+
+
 def test_exact_never_below_lower_bound(cubic_graph):
     g = cubic_graph
     if g.num_edges > 15:

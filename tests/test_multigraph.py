@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from orientcover.corpus import corpus_names, named_graph
 from orientcover.errors import UnknownEdgeError, UnknownVertexError
 from orientcover.multigraph import Multigraph, _Network
+from orientcover.packings import seven_cycle_packings
 from orientcover.pipelines import _require_3ec
 
 from oracles import (
@@ -247,6 +248,19 @@ def test_signature_cuts_match_subset_enumeration():
         assert listed == expected, name
         with_cuts += bool(listed)
     assert 0 < with_cuts < len(graphs)
+
+
+def test_3cut_edges_are_the_edges_on_3_edge_cuts():
+    # packing quotients of the cubic corpus graphs: 3-edge-connected, most with loops
+    cubic = [g for g in map(named_graph, corpus_names())
+             if g.is_3_edge_connected() and all(g.degree(v) == 3 for v in g.vertices)]
+    quotients = [g.contract(p.edge_ids).graph for g in cubic for p in seven_cycle_packings(g).packings]
+    graphs = [g for _, g in small_3ec_graphs()] + quotients
+    for g in graphs:
+        expected = set().union(*brute_3edge_cuts(g.vertices, as_edges(g)))
+        assert set(g._3cut_edges()) == expected, g
+    assert len(cubic) >= 8 and sum(any(map(q.is_loop, q.edge_ids)) for q in quotients) >= 30
+    assert sum(bool(g._3cuts()) for g in graphs) >= 10
 
 
 def test_bridges_are_the_edges_whose_deletion_splits_a_component():

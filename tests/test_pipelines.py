@@ -253,9 +253,10 @@ def test_bf5_corpus(name):
     assert_report_ok(g, certify_bf5(g), 5)
 
 
-def test_bf5_zero_budget_indeterminate():
+def test_bf5_zero_budget_indeterminate(monkeypatch):
+    monkeypatch.setattr(pipelines, "_BF5_NODES", 1)
     with pytest.raises(SearchExhaustedError):
-        certify_bf5(named_graph("petersen"), node_budget=0)
+        certify_bf5(named_graph("petersen"))
 
 
 # -- essentially-4ec pipeline ------------------------------------------------------------
@@ -284,6 +285,14 @@ def test_esse4_bridge_split_path():
 def test_esse4_rejects_prism():
     with pytest.raises(PreconditionError):
         certify_esse4(named_graph("prism3"))
+
+
+def test_esse4_refuses_one_vertex_with_any_loops():
+    for loops in range(4):
+        g = Multigraph.from_pairs([(0, 0)] * loops, extra_vertices=[0])
+        assert not g.is_essentially_4ec()
+        with pytest.raises(PreconditionError, match="^not essentially 4-edge-connected$"):
+            certify_esse4(g)
 
 
 def test_esse4_k5():
