@@ -274,13 +274,20 @@ class Multigraph:
         edge connectivity is the minimum weight on their tree path, so these
         n - 1 pairs carry all pairwise values.  The flows run on one network;
         any maximum flow leaves the same (smallest) side reachable from s.
+        A child s whose non-loop degree d is at most _low_lambda() needs no
+        flow: then d = lambda, so {s} is that smallest side and the value is d.
         """
         verts = self.vertices
+        links = self._links()
+        low = self._low_lambda()
         _, net = self._network()
         parent = [0] * len(verts)
         lam = {}
         for s in range(1, len(verts)):
             t = parent[s]
+            if len(links[verts[s]]) <= low:
+                lam[(verts[t], verts[s])] = len(links[verts[s]])
+                continue
             value, residual = net.max_flow((s,), (t,))
             lam[(verts[t], verts[s])] = value
             side = net.side(residual, (s,))

@@ -15,19 +15,19 @@ Both output properties are re-verified on every run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import InternalVerificationError, PreconditionError
-from .multigraph import Multigraph
+from .multigraph import ContractionResult, Multigraph
 from .structures import (
     CyclePacking,
     cycles_from_edge_set,
     odd_degree_vertices,
     partition_into_three_tjoins,
     perfect_matching,
-    special_set,
     t_join,
+    _packing_quotient,
 )
 
 
@@ -39,6 +39,8 @@ class SevenPackings:
     special_sets: Tuple[FrozenSet[int], ...]
     membership: Dict[int, Tuple[int, ...]]  # edge -> indices of packings containing it
     witness: Dict[int, int]  # edge -> index of a packing whose special set holds it
+    # the contraction of each packing, whose quotient gave its special set
+    quotients: Tuple[ContractionResult, ...] = field(compare=False, repr=False)
 
     def to_json(self) -> Dict:
         return {
@@ -57,8 +59,8 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
     """Verify properties (a) and (b) and bundle the result."""
     if len(packings) != 7:
         raise InternalVerificationError(f"expected 7 packings, got {len(packings)}")
-    special_of = {p: special_set(g, p) for p in dict.fromkeys(packings)}
-    specials = tuple(special_of[p] for p in packings)
+    quotient_of = {p: _packing_quotient(g, p) for p in dict.fromkeys(packings)}
+    specials = tuple(quotient_of[p][1] for p in packings)
     membership: Dict[int, Tuple[int, ...]] = {}
     witness: Dict[int, int] = {}
     for e in g.edge_ids:
@@ -71,7 +73,8 @@ def _assemble(g: Multigraph, packings: List[CyclePacking]) -> SevenPackings:
         if not hits:
             raise InternalVerificationError(f"edge {e} is special in no packing")
         witness[e] = hits[0]
-    return SevenPackings(tuple(packings), specials, membership, witness)
+    return SevenPackings(tuple(packings), specials, membership, witness,
+                         tuple(quotient_of[p][0] for p in packings))
 
 
 def seven_cycle_packings(g: Multigraph) -> SevenPackings:

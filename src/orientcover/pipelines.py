@@ -41,6 +41,7 @@ from .structures import (
     paths_to_two_matchings,
     perfect_matching,
     proper_3_edge_coloring,
+    _packing_quotient,
 )
 
 
@@ -129,9 +130,14 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking) -> Orientation:
     (PreconditionError otherwise).
     """
     _require_3ec(g)
-    cr = g.contract(p.edge_ids)
+    return _orient_over_quotient(g, p, *_packing_quotient(g, p))
+
+
+def _orient_over_quotient(g: Multigraph, p: CyclePacking, cr: ContractionResult,
+                          special: FrozenSet[int]) -> Orientation:
+    """orient_special_set_deletable on the checked g, from p's contraction cr
+    and the special set read off its quotient."""
     q = cr.graph
-    special = frozenset(q.edge_ids).difference(q._3cut_edges())
     tails: Dict[int, int] = {}
     for c in p.cycles:
         tails.update(orient_cycle_as_circuit(c, g))
@@ -278,8 +284,11 @@ def certify_upper7(g: Multigraph) -> PipelineReport:
     _require_3ec(g)
     if _is_cubic(g):
         sp = seven_cycle_packings(g)
-        # the seven packings repeat: orient each distinct one once
-        oriented = {p: orient_special_set_deletable(g, p) for p in dict.fromkeys(sp.packings)}
+        # the seven packings repeat: orient each distinct one once, over its quotient
+        oriented: Dict[CyclePacking, Orientation] = {}
+        for p, cr, special in zip(sp.packings, sp.quotients, sp.special_sets):
+            if p not in oriented:
+                oriented[p] = _orient_over_quotient(g, p, cr, special)
         orientations = [oriented[p] for p in sp.packings]
         cover = dict(sp.witness)
         prov = tuple(f"special-set-packing-{k}" for k in range(7))

@@ -14,7 +14,7 @@ from .errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from .multigraph import Multigraph
+from .multigraph import ContractionResult, Multigraph
 from .orientation import Orientation, _deletable_among
 
 
@@ -90,7 +90,11 @@ def _canonical_cycle(vertices: List[int], edges: List[int]) -> Cycle:
 
 
 def cycles_from_edge_set(g: Multigraph, edge_ids: Iterable[int]) -> CyclePacking:
-    """Split an edge set whose induced degrees are all 0 or 2 into cycles."""
+    """Split an edge set whose induced degrees are all 0 or 2 into cycles.
+
+    Each cycle is walked once, from its smallest vertex by that vertex's
+    first edge, leaving every later vertex by the edge it did not arrive on.
+    """
     ids = set(edge_ids)
     deg: Dict[int, int] = {}
     inc: Dict[int, List[int]] = {}
@@ -106,24 +110,19 @@ def cycles_from_edge_set(g: Multigraph, edge_ids: Iterable[int]) -> CyclePacking
     bad = [v for v, d in deg.items() if d != 2]
     if bad:
         raise PreconditionError(f"edge set is not a disjoint union of cycles; bad degrees at {sorted(bad)}")
-    unused = set(ids)
+    walked: Set[int] = set()
     cycles = []
     for start in sorted(deg):
-        avail = [e for e in inc[start] if e in unused]
-        if not avail:
+        if start in walked:
             continue
-        verts = [start]
-        edges = []
-        x = start
-        while True:
-            e = next(e for e in inc[x] if e in unused)
-            unused.discard(e)
-            edges.append(e)
-            y = g.other_end(e, x)
-            if y == start:
-                break
+        verts, edges = [start], [inc[start][0]]
+        y = g.other_end(edges[0], start)
+        while y != start:
             verts.append(y)
-            x = y
+            a, b = inc[y]
+            edges.append(b if a == edges[-1] else a)
+            y = g.other_end(edges[-1], y)
+        walked.update(verts)
         cycles.append(_canonical_cycle(verts, edges))
     return CyclePacking(tuple(cycles))
 
@@ -525,8 +524,13 @@ def special_set(g: Multigraph, p: CyclePacking) -> FrozenSet[int]:
     """
     if g.num_vertices >= 2 and not g.is_3_edge_connected():
         raise PreconditionError("special sets are defined over 3-edge-connected graphs")
-    q = g.contract(p.edge_ids).graph
-    return frozenset(q.edge_ids).difference(q._3cut_edges())
+    return _packing_quotient(g, p)[1]
+
+
+def _packing_quotient(g: Multigraph, p: CyclePacking) -> Tuple[ContractionResult, FrozenSet[int]]:
+    """(the contraction of p in g, p's special set read off its quotient)."""
+    cr = g.contract(p.edge_ids)
+    return cr, frozenset(cr.graph.edge_ids).difference(cr.graph._3cut_edges())
 
 
 # -- cubic extensions --------------------------------------------------------------------

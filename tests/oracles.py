@@ -307,6 +307,53 @@ def ref_t_join(vertices: Sequence[int], edges: Sequence[Edge], t: Iterable[int])
     return frozenset(chosen)
 
 
+def ref_cycles_from_edge_set(edges: Sequence[Edge], edge_ids: Iterable[int]
+                             ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """The package's former cycles_from_edge_set walk, as (vertices, edges) per cycle.
+
+    From each vertex in turn, by id, that still has an unused edge, take the
+    first unused edge in id order at every step until the walk closes; each
+    cycle then starts at its smallest vertex and runs towards the smaller of
+    its two neighbours there.  A set with a vertex whose degree in it is not
+    2 raises ValueError with the package's PreconditionError message.
+    """
+    ends = {e: (u, v) for e, u, v in edges}
+    ids = set(edge_ids)
+    deg: Dict[int, int] = {}
+    inc: Dict[int, List[int]] = {}
+    for e in sorted(ids):
+        u, v = ends[e]
+        for x in ((u,) if u == v else (u, v)):
+            deg[x] = deg.get(x, 0) + (2 if u == v else 1)
+            inc.setdefault(x, []).append(e)
+    bad = [v for v, d in deg.items() if d != 2]
+    if bad:
+        raise ValueError(f"edge set is not a disjoint union of cycles; bad degrees at {sorted(bad)}")
+    unused = set(ids)
+    cycles = []
+    for start in sorted(deg):
+        if not any(e in unused for e in inc[start]):
+            continue
+        verts, walk, x = [start], [], start
+        while True:
+            e = next(e for e in inc[x] if e in unused)
+            unused.discard(e)
+            walk.append(e)
+            u, v = ends[e]
+            y = v if u == x else u
+            if y == start:
+                break
+            verts.append(y)
+            x = y
+        if len(verts) == 2:
+            walk.sort()
+        elif len(verts) > 2 and verts[-1] < verts[1]:
+            verts = [verts[0]] + verts[:0:-1]
+            walk.reverse()
+        cycles.append((tuple(verts), tuple(walk)))
+    return cycles
+
+
 def brute_frank_number(vertices: Sequence[int], edges: Sequence[Edge]) -> int:
     """Exact Frank number by full enumeration and cover search over set sizes."""
     universe = frozenset(e for e, _, _ in edges)

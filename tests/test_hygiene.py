@@ -8,7 +8,10 @@ edge_connectivity() with a constant in a way that min(lambda, 4) decides
 (every such question goes through the flow-free Multigraph._lambda_upto4 or
 is_3_edge_connected), and no module or class defines both a name and its
 _-prefixed twin (a public function checks its own precondition; there is no
-unchecked private copy of it).  Standard library only (ast),
+unchecked private copy of it).  No module keeps state that outlives a call:
+no functools cache and no dict, list or set bound in a module or class body
+beyond three fixed tables (derived structure lives in Multigraph._memo, on
+the graph it describes).  Standard library only (ast),
 since no linter is part of the toolchain.  The package's __init__.py is
 exempt from the import check: its imports are the public re-exports.
 """
@@ -269,3 +272,60 @@ def test_checker_flags_an_edge_connectivity_threshold_3():
               "m = g.edge_connectivity() <= 3\nn = 1 == g.edge_connectivity()\n"
               "o = {'lambda': g.edge_connectivity()}\np = g.edge_connectivity() >= 5\n")
     assert small_lambda_tests(source) == [1, 2, 3, 4, 5, 6, 7, 10, 12, 13]
+
+
+# The module-level tables that are allowed: built once at import, never changed.
+FIXED_TABLES = {("__init__.py", "__all__"), ("cli.py", "PIPELINES"), ("corpus.py", "_BUILDERS")}
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def lasting_state(source: str):
+    """(line, name) of each use of functools.lru_cache or functools.cache, and
+    of each name a module or class body binds to a dict, list or set.
+
+    A cache or container there lives as long as the process, so a second
+    call on equal inputs could be answered from it.
+    """
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, f"functools.{a.name}") for a in node.names
+                      if a.name in ("lru_cache", "cache")]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, f"functools.{node.attr}"))
+    bodies = [tree.body] + [c.body for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            call = value.func if isinstance(value, ast.Call) else None
+            called = call.id if isinstance(call, ast.Name) else getattr(call, "attr", None)
+            if isinstance(value, _CONTAINERS) or called in _CONTAINER_CALLS:
+                found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_state_outlives_a_call(path):
+    assert [(line, name) for line, name in lasting_state(path.read_text())
+            if (path.name, name) not in FIXED_TABLES] == []
+
+
+def test_checker_flags_lasting_state():
+    source = ("import functools\nfrom functools import lru_cache, wraps\n"
+              "SEEN = {}\nITEMS: list = []\nS = set()\nC = {k: 1 for k in 'ab'}\n"
+              "T = (1, 2)\nF = frozenset()\nM = collections.defaultdict(int)\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef f(x):\n    local = {}\n    return local\n\n"
+              "@functools.cache\ndef g(x):\n    return x\n\n"
+              "class K:\n    table = []\n    __slots__ = ('a',)\n\n"
+              "    def m(self):\n        self.memo = {}\n")
+    assert lasting_state(source) == [
+        (2, "functools.lru_cache"), (3, "SEEN"), (4, "ITEMS"), (5, "S"), (6, "C"), (9, "M"),
+        (11, "functools.lru_cache"), (16, "functools.cache"), (21, "table")]

@@ -21,6 +21,7 @@ from oracles import (
     generalized_petersen_pairs,
     random_cubic_3ec_pairs,
     ref_edge_connectivity,
+    ref_flow_tree,
 )
 
 
@@ -250,11 +251,15 @@ def test_signature_cuts_match_subset_enumeration():
     assert 0 < with_cuts < len(graphs)
 
 
-def test_3cut_edges_are_the_edges_on_3_edge_cuts():
-    # packing quotients of the cubic corpus graphs: 3-edge-connected, most with loops
+def packing_quotients():
+    """(cubic corpus graphs, the quotients of their seven packings): 3-edge-connected, most with loops."""
     cubic = [g for g in map(named_graph, corpus_names())
              if g.is_3_edge_connected() and all(g.degree(v) == 3 for v in g.vertices)]
-    quotients = [g.contract(p.edge_ids).graph for g in cubic for p in seven_cycle_packings(g).packings]
+    return cubic, [g.contract(p.edge_ids).graph for g in cubic for p in seven_cycle_packings(g).packings]
+
+
+def test_3cut_edges_are_the_edges_on_3_edge_cuts():
+    cubic, quotients = packing_quotients()
     graphs = [g for _, g in small_3ec_graphs()] + quotients
     for g in graphs:
         expected = set().union(*brute_3edge_cuts(g.vertices, as_edges(g)))
@@ -322,14 +327,20 @@ def complete_graph(n):
     return Multigraph.from_pairs(list(itertools.combinations(range(n), 2)))
 
 
-def test_lambda_upto4_matches_the_reference_kernel():
+def lambda_graphs():
+    """Seeded multigraphs of 2 or more vertices, lambda 0 to 4 and more, with
+    loops, parallel edges, isolated vertices and several components."""
     rng = random.Random(4004)
     graphs = [g for g in seeded_multigraphs(300, 13) if g.num_vertices >= 2]
     for _ in range(60):  # denser: lambda 3 and 4 with parallel edges and loops
         n = rng.randint(2, 6)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(3 * n, 6 * n))]
         graphs.append(Multigraph.from_pairs(pairs, extra_vertices=range(n)))
-    graphs += [complete_graph(n) for n in (5, 6, 7, 8)] + [g for _, g in small_3ec_graphs()]
+    return graphs + [complete_graph(n) for n in (5, 6, 7, 8)] + [g for _, g in small_3ec_graphs()]
+
+
+def test_lambda_upto4_matches_the_reference_kernel():
+    graphs = lambda_graphs()
     values = []
     for g in graphs:
         lam = ref_edge_connectivity(g.vertices, as_edges(g))
@@ -422,6 +433,32 @@ def test_flow_tree_matches_networkx_gomory_hu():
             path = nx.shortest_path(reference, u, v)
             expected = min(reference[a][b]["weight"] for a, b in zip(path, path[1:]))
             assert tree_path_min(lam, u, v) == expected, (g, u, v)
+
+
+def test_flow_tree_runs_a_flow_only_where_the_degree_leaves_lambda_open(monkeypatch):
+    # a child whose non-loop degree is at most min(lambda, 3) has lambda = its degree: no flow
+    flows = []
+    max_flow = _Network.max_flow
+
+    def counted_flow(self, *args):
+        flows.append(args)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
+    graphs = lambda_graphs() + packing_quotients()[1]
+    answered = {"loop": 0, 0: 0, 1: 0, 2: 0, 3: 0}
+    for g in graphs:
+        low = min(ref_edge_connectivity(g.vertices, as_edges(g)), 3) if g.num_vertices > 1 else 0
+        degree = {v: sum(not g.is_loop(e) for e in g.incident_edges(v)) for v in g.vertices}
+        fresh = Multigraph(g.vertices, {e: g.ends(e) for e in g.edge_ids})  # no tree kept yet
+        flows.clear()
+        assert fresh._flow_tree() == ref_flow_tree(g.vertices, as_edges(g)), g
+        assert len(flows) == sum(degree[v] > low for v in g.vertices[1:]), g
+        for v in g.vertices[1:]:
+            if degree[v] <= low:
+                answered[low] += 1
+                answered["loop"] += any(map(g.is_loop, g.incident_edges(v)))
+    assert min(answered.values()) >= 20, answered
 
 
 @given(small_multigraphs())

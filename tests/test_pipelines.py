@@ -12,7 +12,7 @@ from orientcover.exact import (
     frank_number_exact,
     verify_certificate,
 )
-from orientcover.multigraph import Multigraph, _cached
+from orientcover.multigraph import Multigraph, _Network, _cached
 from orientcover.orientation import deletable_arcs, is_deletable_set, is_strongly_connected
 from orientcover.pipelines import (
     certify_bf5,
@@ -347,17 +347,40 @@ def test_pipeline_checks_its_input_once(monkeypatch, pipeline):
 def test_upper7_does_each_distinct_packing_once(monkeypatch):
     # the seven packings of gp(8,3) hold only 4 distinct ones
     g = named_graph("moebius_kantor")
-    calls = {"special_set": [], "orient_special_set_deletable": []}
-    for module, name in ((packings, "special_set"), (pipelines, "orient_special_set_deletable")):
-        def counted(graph, p, original=getattr(module, name), name=name):
+    calls = {"_packing_quotient": [], "_orient_over_quotient": []}
+    for module, name in ((packings, "_packing_quotient"), (pipelines, "_orient_over_quotient")):
+        def counted(graph, p, *rest, original=getattr(module, name), name=name):
             calls[name].append(p)
-            return original(graph, p)
+            return original(graph, p, *rest)
 
         monkeypatch.setattr(module, name, counted)
     rep = certify_upper7(g)
     assert len(rep.certificate.orientations) == 7
     for name, packs in calls.items():
         assert len(packs) == len(set(packs)) == 4, name
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_upper7_contracts_each_packing_once_and_runs_few_flows(monkeypatch, n):
+    # g is contracted once by the base case and once per distinct packing (4),
+    # and the quotients' flow trees run no flow from a vertex whose degree is lambda
+    g = Multigraph.from_pairs(generalized_petersen_pairs(n, 3))
+    flows, contractions = [], []
+    max_flow, contract = _Network.max_flow, Multigraph.contract
+
+    def counted_flow(self, *args):
+        flows.append(args)
+        return max_flow(self, *args)
+
+    def counted_contract(self, f):
+        if self is g:
+            contractions.append(f)
+        return contract(self, f)
+
+    monkeypatch.setattr(_Network, "max_flow", counted_flow)
+    monkeypatch.setattr(Multigraph, "contract", counted_contract)
+    assert_report_ok(g, certify_upper7(g), 7)
+    assert len(flows) <= 3 and len(contractions) == 5
 
 
 # -- loops and the non-cubic wrappers ----------------------------------------------------

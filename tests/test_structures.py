@@ -43,6 +43,7 @@ from oracles import (
     brute_min_cut,
     flower_snark_pairs,
     generalized_petersen_pairs,
+    ref_cycles_from_edge_set,
     ref_perfect_matchings,
     ref_t_join,
 )
@@ -321,6 +322,56 @@ def test_cycles_handle_parallel_pairs_and_loops():
     g = Multigraph.from_pairs([(0, 1), (0, 1), (2, 2)])
     p = cycles_from_edge_set(g, [0, 1, 2])
     assert sorted(len(c) for c in p.cycles) == [1, 2]
+
+
+def two_regular_edge_sets(count, seed):
+    """(g, ids): a seeded host graph and, shuffled, the edges of 1-5 vertex-disjoint
+    cycles in it, from loops and parallel pairs up to 6-cycles, among random other edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 20)
+        verts = list(range(n))
+        rng.shuffle(verts)
+        pairs = []
+        while verts and len(pairs) < 12 and rng.random() < 0.8:
+            k = min(rng.randint(1, 6), len(verts))
+            ring, verts = verts[:k], verts[k:]
+            pairs += [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+        cycle_edges = len(pairs)
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        ids = rng.sample(range(100), len(pairs))
+        g = Multigraph(range(n), dict(zip(ids, pairs)))
+        chosen = ids[:cycle_edges]
+        rng.shuffle(chosen)
+        yield g, chosen
+
+
+def ref_packing(g, ids):
+    return CyclePacking(tuple(Cycle(vs, es) for vs, es in ref_cycles_from_edge_set(as_edges(g), ids)))
+
+
+def test_cycles_from_edge_set_matches_the_reference_walk():
+    seen = {"loop": 0, "parallel": 0, "several": 0, "rejected": 0}
+    for g, ids in two_regular_edge_sets(400, 92):
+        p = cycles_from_edge_set(g, iter(ids))
+        assert p == ref_packing(g, iter(ids)), (g, ids)
+        lengths = [len(c) for c in p.cycles]
+        seen["loop"] += 1 in lengths
+        seen["parallel"] += 2 in lengths
+        seen["several"] += len(lengths) > 1
+        # one non-loop edge more or less leaves vertices of degree 1 or 3
+        added = [e for e in g.edge_ids if e not in ids and not g.is_loop(e)][:1]
+        dropped = [e for e in ids if not g.is_loop(e)][:1]
+        for broken in (ids + added, [e for e in ids if e not in dropped]):
+            if len(broken) == len(ids):  # no such edge
+                continue
+            with pytest.raises(ValueError) as expected:
+                ref_packing(g, broken)
+            with pytest.raises(PreconditionError, match="bad degrees") as got:
+                cycles_from_edge_set(g, (e for e in broken))
+            assert str(got.value) == str(expected.value)
+            seen["rejected"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_packing_rejects_overlapping_cycles():
