@@ -37,12 +37,20 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .errors import (
     CertificateMismatchError,
+    FormatError,
     GraphTooLargeError,
     InternalVerificationError,
     PreconditionError,
 )
+from .graphio import graph_from_json, graph_to_json
 from .multigraph import Multigraph
-from .orientation import Orientation, _deletable_among, _deletable_mask, is_deletable_set
+from .orientation import (
+    Orientation,
+    _deletable_among,
+    _deletable_mask,
+    is_deletable_set,
+    orientation_from_json,
+)
 
 
 class Status(Enum):
@@ -86,8 +94,6 @@ class FrankCertificate:
     cover: Dict[int, int]
 
     def to_json(self) -> Dict:
-        from .graphio import graph_to_json
-
         graph = self.orientations[0].graph if self.orientations else None
         return {
             "graph": graph_to_json(graph) if graph is not None else None,
@@ -97,10 +103,6 @@ class FrankCertificate:
 
 
 def certificate_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> FrankCertificate:
-    from .errors import FormatError
-    from .graphio import graph_from_json
-    from .orientation import orientation_from_json
-
     if not isinstance(obj, dict):
         raise FormatError("certificate JSON must be an object")
     if graph is None:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .corpus import named_graph
 from .errors import (
     FormatError,
+    GraphTooLargeError,
     InternalVerificationError,
     NotEulerianError,
     NotStronglyConnectedError,
@@ -22,6 +24,7 @@ from .errors import (
     UnknownEdgeError,
     UnknownVertexError,
 )
+from .graphio import graph_from_json, graph_to_json
 from .multigraph import Multigraph, _Network
 
 
@@ -106,8 +109,6 @@ class Orientation:
         return f"Orientation({self.graph!r})"
 
     def to_json(self, inline_graph: bool = True) -> Dict:
-        from .graphio import graph_to_json
-
         payload: Dict = {"tails": {str(e): t for e, t in sorted(self._tails.items())}}
         if inline_graph:
             payload["graph"] = graph_to_json(self.graph)
@@ -115,8 +116,6 @@ class Orientation:
 
 
 def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orientation:
-    from .graphio import graph_from_json
-
     if not isinstance(obj, dict):
         raise FormatError("orientation JSON must be an object")
     if graph is None:
@@ -126,8 +125,6 @@ def orientation_from_json(obj: Dict, graph: Optional[Multigraph] = None) -> Orie
         if isinstance(ref, str):
             if not ref.startswith("corpus:"):
                 raise FormatError(f"unknown graph reference {ref!r}")
-            from .corpus import named_graph
-
             graph = named_graph(ref.split(":", 1)[1])
         else:
             graph = graph_from_json(ref, cap=None)
@@ -264,8 +261,6 @@ def cut_characterization_check(d: Orientation, f: Iterable[int], max_vertices: i
     Every nonempty proper vertex set must receive an in-arc outside f or at
     least two in-arcs.  Must agree with is_deletable_set; used as its oracle.
     """
-    from .errors import GraphTooLargeError
-
     g = d.graph
     n = g.num_vertices
     if n > max_vertices:

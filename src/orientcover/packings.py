@@ -88,7 +88,7 @@ def seven_cycle_packings(g: Multigraph) -> SevenPackings:
     for v in g.vertices:
         if g.degree(v) != 3:
             raise PreconditionError(f"vertex {v} has degree {g.degree(v)}; need a cubic graph")
-    if g.num_vertices >= 2 and not g.is_3_edge_connected():
+    if not g.is_3_edge_connected():
         raise PreconditionError("need a 3-edge-connected graph")
     cut = g.find_nontrivial_3cut()
     if cut is None:

@@ -33,6 +33,7 @@ from .structures import (
     CyclePacking,
     EMPTY_PACKING,
     berge_fulkerson_cover,
+    cubic_extension,
     cycles_from_edge_set,
     find_deletable_arc_on_circuit,
     is_circuit_in,
@@ -134,36 +135,45 @@ def orient_special_set_deletable(g: Multigraph, p: CyclePacking) -> Orientation:
 
 
 def _orient_over_quotient(g: Multigraph, p: CyclePacking, cr: ContractionResult,
-                          special: FrozenSet[int]) -> Orientation:
-    """orient_special_set_deletable on the checked g, from p's contraction cr
-    and the special set read off its quotient."""
+                          target: FrozenSet[int]) -> Orientation:
+    """orient_special_set_deletable on the checked g, from p's contraction cr,
+    verifying that target, a set of quotient edges, is deletable."""
     q = cr.graph
-    tails: Dict[int, int] = {}
-    for c in p.cycles:
-        tails.update(orient_cycle_as_circuit(c, g))
     qtails = well_balanced_orientation(q).tails if q.num_vertices > 1 else {}
+    inner = {e: t for c in p.cycles for e, t in orient_cycle_as_circuit(c, g).items()}
+    d = _lifted(g, cr, inner, qtails, target, p)
+    if d is None:
+        raise InternalVerificationError("lifted special-set orientation failed verification")
+    return d
+
+
+def _lifted(g: Multigraph, cr: ContractionResult, inner: Mapping[int, int], qtails: Mapping[int, int],
+            target: FrozenSet[int], p: CyclePacking) -> Optional[Orientation]:
+    """The orientation of g with the tails inner inside cr's classes and the
+    quotient tails qtails lifted, if target is deletable in it and every
+    cycle of p is a circuit; None otherwise."""
+    tails = dict(inner)
     tails.update(_lift(g, cr, qtails))
     d = Orientation(g, tails)
-    if not is_deletable_set(d, special):
-        raise InternalVerificationError("special set is not deletable in the lifted orientation")
-    for c in p.cycles:
-        if not is_circuit_in(d, c):  # pragma: no cover - circuits are set explicitly
-            raise InternalVerificationError("packing cycle lost its circuit orientation")
-    return d
+    if is_deletable_set(d, target) and all(is_circuit_in(d, c) for c in p.cycles):
+        return d
+    return None
 
 
 def _matching_orientations(g: Multigraph, matchings: Sequence[FrozenSet[int]]
                            ) -> Tuple[List[Orientation], Dict[int, int]]:
     """One orientation per perfect matching M of the checked cubic g, M deletable in it.
 
-    E − M is a cycle packing, and its special-set orientation makes M
-    deletable; a matching that repeats (a double cover may hold one twice)
-    is oriented once.  Each edge is covered at the first matching that
-    holds it.
+    E − M is a cycle packing whose quotient has the edges of M, so its
+    special set lies in M, and the special-set orientation is verified to
+    make all of M deletable; a matching that repeats (a double cover may
+    hold one twice) is oriented once.  Each edge is covered at the first
+    matching that holds it.
     """
     oriented = {}
     for mk in dict.fromkeys(matchings):
-        oriented[mk] = orient_special_set_deletable(g, cycles_from_edge_set(g, set(g.edge_ids) - mk))
+        p = cycles_from_edge_set(g, set(g.edge_ids) - mk)
+        oriented[mk] = _orient_over_quotient(g, p, g.contract(p.edge_ids), mk)
     cover: Dict[int, int] = {}
     for k, mk in enumerate(matchings):
         for e in mk:
@@ -180,11 +190,12 @@ _MATCHING_PAIRINGS = 2048  # pairings tried before the orientation search
 def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking) -> Orientation:
     """Orient g so the matching m is deletable and each cycle of p is a circuit.
 
-    Construction: contract the maximal 2-edge-connected pieces of g - m and
-    orient each piece strongly connected with the packing cycles as
-    circuits.  The quotient's orientation comes from odd-vertex pairings:
-    each pairing's constrained Eulerian orientation is lifted and verified
-    in turn, and the first that passes wins.  If none of the first pairings
+    Construction: contract the maximal 2-edge-connected pieces of g - m,
+    which are g - m minus its bridges, and orient them strongly connected
+    with the packing cycles as circuits, by one DFS over the pieces with
+    the cycles contracted.  The quotient's orientation comes from odd-vertex
+    pairings: each pairing's constrained Eulerian orientation is lifted and
+    verified in turn, and the first that passes wins.  If none of the first pairings
     passes, deletability_decide searches the quotient for an orientation in
     which m is deletable; that is complete, since with strongly oriented
     pieces g's orientation and each single deletion of m stay strongly
@@ -200,77 +211,35 @@ def orient_matching_deletable(g: Multigraph, m: FrozenSet[int], p: CyclePacking)
     if m & p.edge_ids:
         raise PreconditionError("packing cycles must avoid the matching")
     rest = g.delete_edges(m)
-    blocks = [b for b in rest.maximal_2ec_subgraphs()]
-    contract_set = set()
-    for b in blocks:
-        contract_set |= set(rest.induced_edge_ids(b))
-    cr = g.contract(contract_set)
+    pieces = rest.delete_edges(rest.bridges())
+    cr = g.contract(pieces.edge_ids)
     quotient = cr.graph
+    links = quotient._links()
     constraints: Dict[int, Tuple[int, int]] = {}
     for v in quotient.vertices:
-        if len(quotient.edge_cut([v]) if quotient.num_vertices > 1 else ()) != 3:
+        if len(links[v]) != 3:
             continue
-        avail = sorted(e for e in quotient.incident_edges(v)
-                       if e not in m and not quotient.is_loop(e))
+        avail = [e for e, _ in links[v] if e not in m]
         if len(avail) < 2:
             raise InternalVerificationError(
                 f"degree-3 quotient vertex {v} lacks two non-matching edges")
         constraints[v] = (avail[0], avail[1])
-
-    block_tails = _orient_blocks(g, rest, blocks, p)
-
-    def build(dq: Orientation) -> Orientation:
-        tails = dict(block_tails)
-        tails.update(_lift(g, cr, dq.tails))
-        return Orientation(g, tails)
-
-    def good(d: Orientation) -> bool:
-        if not is_deletable_set(d, m):
-            return False
-        return all(is_circuit_in(d, c) for c in p.cycles)
-
+    inner = {e: t for c in p.cycles for e, t in orient_cycle_as_circuit(c, g).items()}
+    pq = pieces.contract(p.edge_ids)
+    inner.update(_lift(pieces, pq, _robbins_tails(pq.graph)))
     for dq in _pairing_orientations(quotient, constraints, _MATCHING_PAIRINGS):
-        d = build(dq)
-        if good(d):
+        d = _lifted(g, cr, inner, dq.tails, m, p)
+        if d is not None:
             return d
     found = deletability_decide(quotient, m)
     if found.status is Status.INDETERMINATE:
         raise SearchExhaustedError("matching orientation search ran out of nodes")
     if found.status is Status.NO:  # pragma: no cover - the paper's construction exists
         raise InternalVerificationError("the quotient has no orientation with the matching deletable")
-    d = build(found.orientation)
-    if not good(d):  # pragma: no cover - lifting keeps deletability and circuits
+    d = _lifted(g, cr, inner, found.orientation.tails, m, p)
+    if d is None:  # pragma: no cover - lifting keeps deletability and circuits
         raise InternalVerificationError("lifted matching orientation failed verification")
     return d
-
-
-def _orient_blocks(g: Multigraph, rest: Multigraph, blocks: Sequence[FrozenSet[int]],
-                   p: CyclePacking) -> Dict[int, int]:
-    """Strongly connected tails inside each nontrivial 2ec piece, circuits intact."""
-    tails: Dict[int, int] = {}
-    cycle_by_edge = {}
-    for c in p.cycles:
-        for e in c.edges:
-            cycle_by_edge[e] = c
-    for b in blocks:
-        edges = rest.induced_edge_ids(b)
-        if not edges:
-            continue
-        sub = Multigraph(b, {e: g.ends(e) for e in edges})
-        cycles_here = []
-        seen = set()
-        for e in sorted(edges):
-            c = cycle_by_edge.get(e)
-            if c is not None and c not in seen:
-                seen.add(c)
-                cycles_here.append(c)
-        cyc_edges = set()
-        for c in cycles_here:
-            tails.update(orient_cycle_as_circuit(c, sub))
-            cyc_edges |= set(c.edges)
-        bq = sub.contract(cyc_edges)
-        tails.update(_lift(sub, bq, _robbins_tails(bq.graph)))
-    return tails
 
 
 # -- pipeline: seven special sets -----------------------------------------------------
@@ -371,8 +340,6 @@ def _extension_wrapper(g: Multigraph, recurse, name: str, bound: int,
     Each host orientation maps its tails back to g through the extension's
     vertex classes; loops of g lie in no cut and are covered at index 0.
     """
-    from .structures import cubic_extension
-
     ext = cubic_extension(g)
     host_rep = recurse(ext.host)
     back = {w: v for v, members in ext.classes.items() for w in members}

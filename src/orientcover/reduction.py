@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import FormatError, InternalVerificationError, PreconditionError
+from .graphio import graph_to_json
 from .multigraph import Multigraph
 from .orientation import Orientation, is_deletable_set
 
@@ -185,8 +186,6 @@ class GadgetInstance:
     b_matching: Dict[int, int]  # edge id -> variable index (B_i to clause cycle)
 
     def to_json(self) -> Dict:
-        from .graphio import graph_to_json
-
         return {
             "graph": graph_to_json(self.graph),
             "labels": {

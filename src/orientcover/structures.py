@@ -559,7 +559,11 @@ def cubic_extension(g: Multigraph) -> CubicExtension:
     its non-loop edges only.  Incident edges attach to the class vertices in
     sorted edge-id order around the expansion cycle, so the construction is
     reproducible.  Contracting the expansion cycles recovers g minus its loops.
+    Checks that g has a vertex and every degree is at least 3
+    (PreconditionError otherwise).
     """
+    if not g.vertices:
+        raise PreconditionError("the empty graph has no cubic extension")
     nonloop = {v: [e for e in g.incident_edges(v) if not g.is_loop(e)] for v in g.vertices}
     for v, half in nonloop.items():
         if len(half) < 3:

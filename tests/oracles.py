@@ -5,7 +5,10 @@ connectivity runs a Warshall closure over an adjacency matrix, cuts come from
 explicit subset enumeration, and minimum covers come from itertools over
 distinct deletable sets.  The reference flow kernel is the package's former
 one: Edmonds-Karp on a dict-of-dicts capacity map copied per flow, with
-terminal pairs merged into one node.  Nothing here imports solver internals.
+terminal pairs merged into one node.  Nothing here imports solver internals,
+except ref_orient_matching_deletable: the package's former matching
+orientation, kept to pin the output of the current one, which builds on the
+package's own kernels.
 """
 
 import itertools
@@ -592,3 +595,73 @@ def ref_nontrivial_3cut(vertices: Sequence[int],
     if found is None or u == u0:
         return found
     return next(filter(None, (around(*ends[e]) for e in nonloops[1:])))
+
+
+def ref_orient_matching_deletable(g, m: FrozenSet[int], p):
+    """The package's former orient_matching_deletable, with its per-piece DFS.
+
+    Each maximal 2-edge-connected piece of g - m is rebuilt as its own graph,
+    its packing cycles are set as circuits and contracted, and Robbins' DFS
+    orients what is left; the quotient by the pieces is oriented from
+    odd-vertex pairings and then by deletability_decide.  Preconditions are
+    the caller's.
+    """
+    from orientcover import pipelines
+    from orientcover.errors import InternalVerificationError
+    from orientcover.exact import Status, deletability_decide
+    from orientcover.multigraph import Multigraph
+    from orientcover.orientation import (
+        Orientation, _pairing_orientations, _robbins_tails, is_deletable_set)
+    from orientcover.structures import is_circuit_in, orient_cycle_as_circuit
+
+    rest = g.delete_edges(m)
+    blocks = list(rest.maximal_2ec_subgraphs())
+    contract_set = set()
+    for b in blocks:
+        contract_set |= set(rest.induced_edge_ids(b))
+    cr = g.contract(contract_set)
+    quotient = cr.graph
+    constraints = {}
+    for v in quotient.vertices:
+        if len(quotient.edge_cut([v]) if quotient.num_vertices > 1 else ()) != 3:
+            continue
+        avail = sorted(e for e in quotient.incident_edges(v)
+                       if e not in m and not quotient.is_loop(e))
+        if len(avail) < 2:
+            raise InternalVerificationError(f"degree-3 quotient vertex {v} lacks two non-matching edges")
+        constraints[v] = (avail[0], avail[1])
+
+    block_tails = {}
+    cycle_by_edge = {e: c for c in p.cycles for e in c.edges}
+    for b in blocks:
+        edges = rest.induced_edge_ids(b)
+        if not edges:
+            continue
+        sub = Multigraph(b, {e: g.ends(e) for e in edges})
+        cycles_here = list(dict.fromkeys(cycle_by_edge[e] for e in sorted(edges) if e in cycle_by_edge))
+        cyc_edges = set()
+        for c in cycles_here:
+            block_tails.update(orient_cycle_as_circuit(c, sub))
+            cyc_edges |= set(c.edges)
+        bq = sub.contract(cyc_edges)
+        block_tails.update(pipelines._lift(sub, bq, _robbins_tails(bq.graph)))
+
+    def build(dq):
+        tails = dict(block_tails)
+        tails.update(pipelines._lift(g, cr, dq.tails))
+        return Orientation(g, tails)
+
+    def good(d):
+        return is_deletable_set(d, m) and all(is_circuit_in(d, c) for c in p.cycles)
+
+    for dq in _pairing_orientations(quotient, constraints, pipelines._MATCHING_PAIRINGS):
+        d = build(dq)
+        if good(d):
+            return d
+    found = deletability_decide(quotient, m)
+    if found.status is not Status.FOUND:
+        raise InternalVerificationError(f"matching orientation search ended {found.status}")
+    d = build(found.orientation)
+    if not good(d):
+        raise InternalVerificationError("lifted matching orientation failed verification")
+    return d

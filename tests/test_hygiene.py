@@ -1,6 +1,8 @@
 """Source hygiene for the modules under src/orientcover.
 
-No module imports a name it never uses, none calls itertools.product (the
+No module imports a name it never uses, a function imports from a sibling
+module only when that module imports its own at top level (an import
+cycle; every other import sits at the top), none calls itertools.product (the
 one exhaustive orientation search is exact._search, and the 2^m reference
 loops live in tests/oracles.py), every private function or method is
 reached from the package outside its own body, and no expression compares
@@ -51,6 +53,43 @@ def test_checker_flags_an_unused_import():
     assert len(MODULES) >= 10
     source = "import os.path\nfrom typing import Dict, List\nx: List[int] = []\ny = \"Dict\"\n"
     assert unused_imports(source) == [(1, "os"), (2, "Dict")]
+
+
+def local_imports(sources):
+    """(file, line, module) of each `from .module import` inside a function of
+    `sources` (file name -> text) that could sit at the top of its file,
+    because that module does not import the file at its own top level."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    top = {name: {node.module for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1}
+           for name, tree in trees.items()}
+    found = set()
+    for file, tree in trees.items():
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(f):
+                if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                        and file[:-3] not in top.get(node.module + ".py", ())):
+                    found.add((file, node.lineno, node.module))
+    return sorted(found)
+
+
+def test_function_local_imports_break_a_cycle():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert local_imports(sources) == []
+
+
+def test_checker_flags_a_local_import_without_a_cycle():
+    sources = {
+        "a.py": ("from .b import x\n\ndef f():\n    from .b import y\n"
+                 "    from .c import z\n    import json\n    return y, z\n"),
+        "b.py": ("from .c import w\n\ndef g():\n    from .a import f\n"
+                 "    def h():\n        from .d import v\n    return f\n"),
+        "c.py": "import os\n\nclass C:\n    def m(self):\n        from .b import w\n",
+    }
+    assert local_imports(sources) == [
+        ("a.py", 4, "b"), ("a.py", 5, "c"), ("b.py", 6, "d")]
 
 
 def product_calls(source: str):

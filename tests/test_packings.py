@@ -100,6 +100,11 @@ def test_rejects_low_connectivity():
         seven_cycle_packings(g)
 
 
+def test_rejects_the_empty_graph_as_not_3_edge_connected():
+    with pytest.raises(PreconditionError, match="3-edge-connected"):
+        seven_cycle_packings(Multigraph([], {}))
+
+
 def test_json_dump_shape():
     sp = seven_cycle_packings(named_graph("k4"))
     payload = sp.to_json()

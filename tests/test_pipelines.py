@@ -23,14 +23,18 @@ from orientcover.pipelines import (
     orient_special_set_deletable,
 )
 from orientcover.structures import (
+    EMPTY_PACKING,
     CyclePacking,
     cycles_from_edge_set,
+    enumerate_perfect_matchings,
+    find_deletable_arc_on_circuit,
     is_circuit_in,
+    paths_to_two_matchings,
     perfect_matching,
     special_set,
 )
 
-from oracles import generalized_petersen_pairs
+from oracles import generalized_petersen_pairs, ref_orient_matching_deletable
 
 
 def assert_report_ok(g, report, bound):
@@ -152,6 +156,114 @@ def test_matching_orientation_search_past_22_bits(monkeypatch):
     assert is_deletable_set(d, m)
     for c in p.cycles:
         assert is_circuit_in(d, c)
+
+
+# -- the matching orientation against its former per-piece construction -------------------
+
+
+ESSE4_CUBIC = {name: named_graph(name) for name in ("cube", "k33", "k4", "moebius_kantor",
+                                                      "petersen", "theta")}
+ESSE4_CUBIC.update((f"gp({n},{k})", Multigraph.from_pairs(generalized_petersen_pairs(n, k)))
+                   for n, k in ((5, 2), (7, 2), (10, 3), (12, 5), (16, 3)))
+
+
+def assert_matches_former(g, m, p):
+    d = orient_matching_deletable(g, m, p)
+    assert d == ref_orient_matching_deletable(g, m, p)
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(ESSE4_CUBIC))
+def test_matching_orientation_equals_the_former_one_on_2_factors(name):
+    # a perfect matching with its 2-factor packing, then the two path matchings
+    # that certify_esse4 orients with no packing
+    g = ESSE4_CUBIC[name]
+    assert g.is_essentially_4ec()
+    rng = random.Random(name)
+    matchings = [perfect_matching(g)]
+    if g.num_vertices <= 12:
+        matchings += rng.sample(enumerate_perfect_matchings(g), 2)
+    for m1 in matchings:
+        packing = cycles_from_edge_set(g, set(g.edge_ids) - m1)
+        d1 = assert_matches_former(g, m1, packing)
+        chosen = [find_deletable_arc_on_circuit(d1, c) for c in packing.cycles]
+        for m in paths_to_two_matchings(g, set(g.edge_ids) - m1 - set(chosen)):
+            assert_matches_former(g, m, EMPTY_PACKING)
+
+
+@pytest.mark.parametrize("pairings", [2048, 0])
+@pytest.mark.parametrize("name", sorted(ESSE4_CUBIC))
+def test_matching_orientation_equals_the_former_one_on_one_edge(monkeypatch, name, pairings):
+    # m is one edge and p one cycle of a 2-factor, inside the single piece g - m;
+    # with no pairings the quotient goes to deletability_decide
+    monkeypatch.setattr(pipelines, "_MATCHING_PAIRINGS", pairings)
+    g = ESSE4_CUBIC[name]
+    rng = random.Random(name)
+    cycles = cycles_from_edge_set(g, set(g.edge_ids) - perfect_matching(g)).cycles
+    for _ in range(3):
+        c = rng.choice(cycles)
+        e = rng.choice(sorted(set(g.edge_ids) - set(c.edges)))
+        assert_matches_former(g, frozenset({e}), CyclePacking((c,)))
+
+
+def with_parallel_edges(g, rng, copies, loops):
+    """g plus `copies` parallel copies of random edges and `loops` random loops."""
+    edges = {e: g.ends(e) for e in g.edge_ids}
+    base = max(edges) + 1
+    for k in range(copies):
+        edges[base + k] = g.ends(rng.choice(g.edge_ids))
+    for k in range(loops):
+        v = rng.choice(g.vertices)
+        edges[base + copies + k] = (v, v)
+    return Multigraph(g.vertices, edges)
+
+
+@pytest.mark.parametrize("pairings", [2048, 0])
+@pytest.mark.parametrize("seed", range(12))
+def test_matching_orientation_equals_the_former_one_with_parallel_edges(monkeypatch, seed, pairings):
+    # extra parallel edges keep an essentially 4-edge-connected graph so; the packing
+    # takes vertex-disjoint 2-cycles of parallel edges and loops outside the matching
+    monkeypatch.setattr(pipelines, "_MATCHING_PAIRINGS", pairings)
+    rng = random.Random(seed)
+    name = ("k4", "k33", "cube", "petersen", "k5", "wheel4", "wheel5", "hub_triangles")[seed % 8]
+    g = with_parallel_edges(named_graph(name), rng, rng.randint(2, 6), rng.randint(0, 2))
+    assert g.is_essentially_4ec()
+    nonloops = [e for e in g.edge_ids if not g.is_loop(e)]
+    rng.shuffle(nonloops)
+    m, matched = set(), set()
+    for e in nonloops:
+        if not matched & set(g.ends(e)) and rng.random() < 0.9:
+            m.add(e)
+            matched.update(g.ends(e))
+    cycle_edges, used = set(), set()
+    for e in sorted(set(g.edge_ids) - m):
+        ends = set(g.ends(e))
+        cycle = [e] if g.is_loop(e) else [e] + [f for f in g.edge_ids if f > e and f not in m
+                                                and set(g.ends(f)) == ends][:1]
+        if len(cycle) == len(ends) and not used & ends and rng.random() < 0.7:
+            cycle_edges.update(cycle)
+            used.update(ends)
+    p = cycles_from_edge_set(g, cycle_edges)
+    assert_matches_former(g, frozenset(m), p)
+
+
+@pytest.mark.parametrize("name", ["gp(10,3)", "gp(16,3)", "cube", "k33"])
+@pytest.mark.parametrize("pipeline", [certify_color3, certify_bf5], ids=lambda f: f.__name__)
+def test_matching_pipelines_list_no_3_cuts(monkeypatch, name, pipeline):
+    # every quotient edge of a matching's packing lies in the matching, which is
+    # verified deletable as a whole, so no special set is read off the quotient
+    g = ESSE4_CUBIC[name]
+    g = Multigraph(g.vertices, {e: g.ends(e) for e in g.edge_ids})  # nothing cached
+    calls = []
+    original = Multigraph._3cuts
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Multigraph, "_3cuts", counted)
+    assert_report_ok(g, pipeline(g), 5)
+    assert calls == []
 
 
 def test_well_balanced_exhaustive_fallback(monkeypatch):

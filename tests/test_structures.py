@@ -488,6 +488,11 @@ def test_cubic_extension_rejects_low_degree():
         cubic_extension(Multigraph.from_pairs([(0, 1), (1, 2), (2, 0)]))
 
 
+def test_cubic_extension_rejects_the_empty_graph():
+    with pytest.raises(PreconditionError, match="empty graph"):
+        cubic_extension(Multigraph([], {}))
+
+
 def test_cubic_extension_leaves_out_loops():
     k5 = named_graph("k5")
     g = Multigraph(k5.vertices, {**{e: k5.ends(e) for e in k5.edge_ids},
